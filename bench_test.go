@@ -10,7 +10,6 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -519,17 +518,6 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 // keyed-hash votes ride the worker pool behind the reader, so its cost
 // grows far slower than the naive loop's K× re-ingestion.
 
-// benchEngineBlockSize reads the WM_BENCH_ENGINE toggle the CI bench job
-// uses to produce a tuple-at-a-time baseline run benchstat can diff
-// against the block engine: "tuple" selects the legacy per-tuple scan
-// loop, anything else the block engine at its default size.
-func benchEngineBlockSize() int {
-	if os.Getenv("WM_BENCH_ENGINE") == "tuple" {
-		return -1
-	}
-	return 0
-}
-
 func BenchmarkBatchVerify(b *testing.B) {
 	const maxCerts = 32
 	r, dom := pipelineBenchData(b)
@@ -561,14 +549,14 @@ func BenchmarkBatchVerify(b *testing.B) {
 
 	scanOnce := func(b *testing.B, recs []*core.Record) []core.BatchReport {
 		b.Helper()
-		// Zero-copy ingestion: the scan engine recognizes the reader's
-		// BlockReader side and feeds pooled columnar blocks to the kernels.
+		// Zero-copy ingestion: the scan engine feeds the reader's pooled
+		// columnar blocks straight to the kernels.
 		src, err := relation.NewCSVBlockReader(strings.NewReader(suspect), r.Schema())
 		if err != nil {
 			b.Fatal(err)
 		}
 		outs, err := core.VerifyBatch(context.Background(), recs, src, core.BatchOptions{
-			Workers: -1, Cache: cache, BlockSize: benchEngineBlockSize(),
+			Workers: -1, Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -517,7 +517,7 @@ func verdictString(match float64) string {
 }
 
 // verifyBatch checks the suspect against every certificate in one
-// streaming scan: the CSV is read straight off disk tuple-at-a-time and
+// streaming scan: the CSV is read straight off disk block by block and
 // fanned across all prepared scanners (core.VerifyBatch), so auditing a
 // dataset against a whole certificate catalog costs one pass.
 func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyhash.KernelKind) error {
@@ -540,8 +540,8 @@ func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyh
 		return err
 	}
 	defer f.Close()
-	// The zero-copy block reader: core.VerifyBatch's pipeline recognizes
-	// its BlockReader side and scans columnar blocks, 0 allocs/row.
+	// The zero-copy block reader: core.VerifyBatch's pipeline scans its
+	// columnar blocks, 0 allocs/row.
 	src, err := relation.NewCSVBlockReader(f, schema)
 	if err != nil {
 		return err

@@ -124,9 +124,6 @@ type ShardScanRequest struct {
 	// parameter derives deterministically from a record, which is what
 	// keeps worker-side scanners identical to the coordinator's.
 	Records []*core.Record `json:"records"`
-	// BlockRows overrides the worker's scan-block size (0 = default,
-	// negative = tuple-at-a-time engine).
-	BlockRows int `json:"block_rows,omitempty"`
 	// Workers overrides the worker node's per-shard scan parallelism.
 	Workers int `json:"workers,omitempty"`
 }

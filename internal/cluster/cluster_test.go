@@ -31,6 +31,7 @@ type auditFixture struct {
 	rel     *relation.Relation
 	schema  *relation.Schema
 	spec    string
+	csv     string // rel serialized as CSV, the suspect stream rows() reads
 	records []*core.Record
 }
 
@@ -55,10 +56,24 @@ func newAuditFixture(t *testing.T, rows, certs int) *auditFixture {
 		}
 		f.records = append(f.records, rec)
 	}
+	var csv strings.Builder
+	if err := relation.WriteCSV(&csv, r); err != nil {
+		t.Fatal(err)
+	}
+	f.csv = csv.String()
 	return f
 }
 
-func (f *auditFixture) rows() relation.RowReader { return relation.Rows(f.rel) }
+// rows opens a fresh zero-copy CSV block reader over the corpus — the
+// kind of source the server hands ScanShards, and the only kind it
+// accepts.
+func (f *auditFixture) rows() relation.RowReader {
+	br, err := relation.NewCSVBlockReader(strings.NewReader(f.csv), f.schema)
+	if err != nil {
+		panic(err) // f.csv was written by relation.WriteCSV
+	}
+	return br
+}
 
 // localTallies is the single-node reference: one pipeline.ScanMany pass.
 func (f *auditFixture) localTallies(t *testing.T, prep *core.BatchPrep) []*mark.Tally {
@@ -562,17 +577,24 @@ func TestAgentHeartbeats(t *testing.T) {
 	}
 }
 
-// blockingRowReader wraps a RowReader and counts Read calls, so a test
-// can assert the reader goroutine has truly let go of the source.
-type blockingRowReader struct {
-	inner relation.RowReader
+// countingSource wraps a raw shard source and counts ReadBlock calls
+// and the rows they returned, so a test can assert the reader goroutine
+// has truly let go of the source (and how far ahead of the scans it ran).
+type countingSource struct {
+	*relation.CSVBlockReader
 	reads atomic.Int64
+	rows  atomic.Int64
 }
 
-func (b *blockingRowReader) Schema() *relation.Schema { return b.inner.Schema() }
-func (b *blockingRowReader) Read() (relation.Tuple, error) {
-	b.reads.Add(1)
-	return b.inner.Read()
+func (c *countingSource) ReadBlock(b *relation.Block, maxRows int) (int, error) {
+	c.reads.Add(1)
+	n, err := c.CSVBlockReader.ReadBlock(b, maxRows)
+	c.rows.Add(int64(n))
+	return n, err
+}
+
+func (f *auditFixture) countingRows() *countingSource {
+	return &countingSource{CSVBlockReader: f.rows().(*relation.CSVBlockReader)}
 }
 
 // TestScanShardsReleasesSourceOnFailure pins the reader-lifetime
@@ -588,21 +610,67 @@ func TestScanShardsReleasesSourceOnFailure(t *testing.T) {
 	bad.failWith = func(api.ShardScanRequest) error { return errors.New("nope") }
 	bad.register(c, "bad", 1)
 
-	src := &blockingRowReader{inner: f.rows()}
+	src := f.countingRows()
 	_, err := c.ScanShards(context.Background(), src, prep.Scanners(), ScanJob{
 		Records: prep.Records(), Schema: f.spec,
 	})
 	if err == nil {
 		t.Fatal("scan against an always-failing worker succeeded")
 	}
+	if !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("scan failed for the wrong reason: %v", err)
+	}
 	after := src.reads.Load()
+	if after == 0 {
+		t.Fatal("source never read: the failure came before any shard was cut")
+	}
 	time.Sleep(50 * time.Millisecond)
 	if got := src.reads.Load(); got != after {
 		t.Fatalf("source read %d more times after ScanShards returned", got-after)
 	}
-	if after >= 5001 {
-		t.Fatalf("reader drained the whole corpus (%d reads) despite the early failure", after)
+	if rows := src.rows.Load(); rows >= 5000 {
+		t.Fatalf("reader drained the whole corpus (%d rows) despite the early failure", rows)
 	}
+}
+
+// TestScanShardsRejectsNonRawSource pins the source contract: a
+// RowReader that cannot hand out raw record bytes is refused up front —
+// it is never read and no shard is dispatched.
+func TestScanShardsRejectsNonRawSource(t *testing.T) {
+	f := newAuditFixture(t, 500, 1)
+	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
+	c := NewCoordinator(Config{ShardRows: 100})
+	w := startTestWorker(t)
+	var calls atomic.Int64
+	w.failWith = func(api.ShardScanRequest) error { calls.Add(1); return nil }
+	w.register(c, "w", 2)
+
+	src := &countingRowReader{inner: relation.Rows(f.rel)}
+	_, err := c.ScanShards(context.Background(), src, prep.Scanners(), ScanJob{
+		Records: prep.Records(), Schema: f.spec,
+	})
+	if err == nil || !strings.Contains(err.Error(), "RawShardSource") {
+		t.Fatalf("non-raw source: err = %v, want a RawShardSource rejection", err)
+	}
+	if n := src.reads.Load(); n != 0 {
+		t.Fatalf("rejected source was read %d times", n)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d shards dispatched for a rejected source", n)
+	}
+}
+
+// countingRowReader is a plain RowReader (no block or raw side) that
+// counts Read calls.
+type countingRowReader struct {
+	inner relation.RowReader
+	reads atomic.Int64
+}
+
+func (c *countingRowReader) Schema() *relation.Schema { return c.inner.Schema() }
+func (c *countingRowReader) Read() (relation.Tuple, error) {
+	c.reads.Add(1)
+	return c.inner.Read()
 }
 
 // TestScanShardsBackpressure runs a corpus of many small shards through
@@ -620,7 +688,7 @@ func TestScanShardsBackpressure(t *testing.T) {
 	w.delay = func(api.ShardScanRequest) { time.Sleep(time.Millisecond) }
 	w.register(c, "slow", 1)
 
-	src := &blockingRowReader{inner: f.rows()}
+	src := f.countingRows()
 	var maxLead int64
 	done := make(chan struct{})
 	go func() {
@@ -631,7 +699,7 @@ func TestScanShardsBackpressure(t *testing.T) {
 				return
 			default:
 			}
-			lead := src.reads.Load()/100 - w.served.Load()
+			lead := src.rows.Load()/100 - w.served.Load()
 			if lead > atomic.LoadInt64(&maxLead) {
 				atomic.StoreInt64(&maxLead, lead)
 			}

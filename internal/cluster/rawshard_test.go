@@ -221,9 +221,8 @@ func TestSplitTaskRawSlices(t *testing.T) {
 	}
 }
 
-// BenchmarkShardEncode measures the coordinator's shard-payload encoder:
-// the legacy parse-then-reprint pipeline (row reader + row writer)
-// against the zero-copy raw byte-range slicer, per wire format.
+// BenchmarkShardEncode measures the coordinator's shard-payload encoder
+// — the zero-copy raw byte-range slicer of readShards — per wire format.
 func BenchmarkShardEncode(b *testing.B) {
 	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{
 		N: 50000, CatalogSize: 120, ZipfS: 1.0, Seed: "shard-encode-bench",
@@ -242,55 +241,6 @@ func BenchmarkShardEncode(b *testing.B) {
 	csvData, jsonlData := cb.String(), jb.String()
 	const shardRows = 4096
 
-	reprint := func(b *testing.B, data, format string) {
-		var out strings.Builder
-		var src relation.RowReader
-		if format == "csv" {
-			rr, err := relation.NewCSVRowReader(strings.NewReader(data), schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src = rr
-		} else {
-			src = relation.NewJSONLRowReader(strings.NewReader(data), schema)
-		}
-		newWriter := func() relation.RowWriter {
-			out.Reset()
-			if format == "csv" {
-				w, err := relation.NewCSVRowWriter(&out, schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return w
-			}
-			return relation.NewJSONLRowWriter(&out, schema)
-		}
-		w := newWriter()
-		rows, shards := 0, 0
-		for {
-			tup, err := src.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := w.Write(tup); err != nil {
-				b.Fatal(err)
-			}
-			if rows++; rows >= shardRows {
-				if err := w.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				shards++
-				rows = 0
-				w = newWriter()
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
 	raw := func(b *testing.B, data, format string) {
 		var src relation.RawShardSource
 		if format == "csv" {
@@ -330,9 +280,7 @@ func BenchmarkShardEncode(b *testing.B) {
 		name, data string
 		run        func(b *testing.B, data, format string)
 	}{
-		{"csv/reprint", csvData, reprint},
 		{"csv/raw", csvData, raw},
-		{"jsonl/reprint", jsonlData, reprint},
 		{"jsonl/raw", jsonlData, raw},
 	} {
 		format := strings.SplitN(tc.name, "/", 2)[0]

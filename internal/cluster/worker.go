@@ -29,12 +29,12 @@ import (
 // path against.
 //
 // opts supplies the worker-local execution knobs (scanner cache, hash
-// kernel, default parallelism); the request's Workers/BlockRows override
-// them per shard. A certificate that fails to prepare fails the whole
-// shard — the coordinator only ships records its own identical prep
-// accepted, so a disagreement here means corrupt wire data, and failing
-// loudly (the shard is retried, then the audit fails) beats merging a
-// tally hole silently.
+// kernel, default parallelism); the request's Workers overrides the
+// parallelism per shard. A certificate that fails to prepare fails the
+// whole shard — the coordinator only ships records its own identical
+// prep accepted, so a disagreement here means corrupt wire data, and
+// failing loudly (the shard is retried, then the audit fails) beats
+// merging a tally hole silently.
 func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.BatchOptions) (*api.ShardScanResponse, error) {
 	// The worker-side execution span: a child of the coordinator's
 	// dispatch span when the RPC carried traceparent (the server
@@ -55,9 +55,8 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 		span.SetError(err)
 		return nil, err
 	}
-	// The zero-copy block readers implement RowReader, so every engine
-	// accepts them; pipeline.ScanMany additionally recognizes the
-	// BlockReader side and takes its columnar zero-allocation path.
+	// The shard rows are parsed by the zero-copy block readers, which
+	// pipeline.ScanMany scans without a per-row allocation.
 	var src relation.RowReader
 	switch strings.ToLower(req.Format) {
 	case "", "csv":
@@ -89,10 +88,9 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 		workers = req.Workers
 	}
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
-		Workers:   normalizeWorkers(workers),
-		BlockRows: req.BlockRows,
-		Progress:  opts.Progress,
-		Phases:    ph,
+		Workers:  normalizeWorkers(workers),
+		Progress: opts.Progress,
+		Phases:   ph,
 	})
 	if err != nil {
 		span.SetError(err)

@@ -23,13 +23,6 @@ type BatchOptions struct {
 	// certificate's scanner runs on (see Spec.HashKernel). Verdicts are
 	// identical across backends.
 	HashKernel keyhash.KernelKind
-	// BlockSize is the scan-block size (pipeline.Config.BlockRows): the
-	// batch engine extracts each block's key column once and keeps its
-	// digests cache-resident while every certificate sweeps it. 0 means
-	// mark.DefaultBlockRows; negative selects the tuple-at-a-time legacy
-	// engine (the benchmark baseline). Tallies are bit-identical at
-	// every setting.
-	BlockSize int
 	// Progress, when non-nil, receives the tuple count of each scanned
 	// block — once per suspect tuple per pass, regardless of how many
 	// certificates ride it. Called concurrently from worker goroutines;
@@ -154,9 +147,8 @@ func (p *BatchPrep) Reports(tallies []*mark.Tally) []BatchReport {
 func VerifyBatch(ctx context.Context, records []*Record, src relation.RowReader, opts BatchOptions) ([]BatchReport, error) {
 	prep := PrepareBatch(records, src.Schema(), opts)
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
-		Workers:   workerCount(opts.Workers),
-		BlockRows: opts.BlockSize,
-		Progress:  opts.Progress,
+		Workers:  workerCount(opts.Workers),
+		Progress: opts.Progress,
 	})
 	if err != nil {
 		return nil, err

@@ -11,11 +11,12 @@ import (
 	"repro/internal/relation"
 )
 
-// TestVerifyBatchBlockKnobsEquivalence proves the Spec/BatchOptions
-// knobs are pure execution strategy: every combination of hash kernel
-// and block size — the tuple-at-a-time legacy engine included — returns
-// reports bit-identical to the defaults, and the progress hook counts
-// each suspect tuple exactly once per pass.
+// TestVerifyBatchBlockKnobsEquivalence proves the BatchOptions knobs
+// are pure execution strategy: every hash kernel, sequential or on a
+// worker pool, returns reports bit-identical to the defaults, and the
+// progress hook counts each suspect tuple exactly once per pass. (The
+// block-size axis is pipeline.Config.BlockRows, covered by the pipeline
+// equivalence tests.)
 func TestVerifyBatchBlockKnobsEquivalence(t *testing.T) {
 	suspect, records := batchTestCatalog(t, 3000, 5)
 	var csv strings.Builder
@@ -45,21 +46,20 @@ func TestVerifyBatchBlockKnobsEquivalence(t *testing.T) {
 		kinds = append(kinds, keyhash.KernelMultiBuffer)
 	}
 	for _, kind := range kinds {
-		for _, blockSize := range []int{-1, 1, 37, 512, 1 << 20} {
+		for _, workers := range []int{1, 2} {
 			var ticks atomic.Int64
 			got := scan(BatchOptions{
-				Workers:    2,
+				Workers:    workers,
 				HashKernel: kind,
-				BlockSize:  blockSize,
 				Cache:      NewScannerCache(8),
 				Progress:   func(tuples int) { ticks.Add(int64(tuples)) },
 			})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("kernel %q blockSize %d: batch reports diverged from defaults", kind, blockSize)
+				t.Fatalf("kernel %q workers %d: batch reports diverged from defaults", kind, workers)
 			}
 			if ticks.Load() != int64(suspect.Len()) {
-				t.Fatalf("kernel %q blockSize %d: progress %d, want %d",
-					kind, blockSize, ticks.Load(), suspect.Len())
+				t.Fatalf("kernel %q workers %d: progress %d, want %d",
+					kind, workers, ticks.Load(), suspect.Len())
 			}
 		}
 	}

@@ -76,10 +76,6 @@ type Spec struct {
 	// CPU supports; the choice never changes a digest, a certificate or
 	// a verdict — only throughput.
 	HashKernel keyhash.KernelKind
-	// BlockSize is the number of tuples per scan block fed through the
-	// hash kernel (pipeline.Config.BlockRows). 0 means
-	// mark.DefaultBlockRows; results are bit-identical at every size.
-	BlockSize int
 	// Progress, when non-nil, observes the embedding pass: it receives
 	// the tuple count of each completed block, concurrently from worker
 	// goroutines. Async jobs aggregate it into their tuples-processed
@@ -188,9 +184,8 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 		HashKernel: s.HashKernel,
 	}
 	mst, err := pipeline.Embed(ctx, r, wm, opts, pipeline.Config{
-		Workers:   workerCount(s.Workers),
-		BlockRows: s.BlockSize,
-		Progress:  s.Progress,
+		Workers:  workerCount(s.Workers),
+		Progress: s.Progress,
 	})
 	if err != nil {
 		return nil, st, err
@@ -285,8 +280,6 @@ type VerifyOptions struct {
 	// HashKernel selects the batched keyed-hash backend (see
 	// Spec.HashKernel); verdicts are identical across backends.
 	HashKernel keyhash.KernelKind
-	// BlockSize is the scan-block size (see Spec.BlockSize).
-	BlockSize int
 }
 
 // VerifyWith is Verify with an explicit worker count and an optional
@@ -312,7 +305,7 @@ func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o Ver
 	}
 	want := p.want
 
-	cfg := pipeline.Config{Workers: workerCount(o.Workers), BlockRows: o.BlockSize}
+	cfg := pipeline.Config{Workers: workerCount(o.Workers)}
 	working := suspect
 	det, err := pipeline.Detect(ctx, working, len(want), p.opts, cfg)
 	if err != nil {

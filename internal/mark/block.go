@@ -15,10 +15,11 @@ import (
 // bit position, value index) all start from keyed hashes of the tuple's
 // own key, so a block of tuples can batch those hashes through one
 // keyhash.Kernel call and then replay the per-tuple logic over the
-// precomputed digests. ScanBlock and EmbedBlock are bit-identical to the
-// ScanTuple / tuple-at-a-time loops — the property tests drive both over
-// random block shapes — and ScanTuple remains the block-size-1 special
-// case and the semantic definition of one tuple's work.
+// precomputed digests. ScanBlock, ScanColumns and EmbedBlock are
+// bit-identical to tuple-at-a-time loops — the property and fuzz tests
+// drive them against a per-tuple reference (ScanTuple, kept in the test
+// files as the semantic definition of one tuple's work) over random
+// block shapes.
 //
 // BlockScratch is where the batching pays twice: the key column is
 // extracted once per block no matter how many certificates scan it, and
@@ -153,7 +154,7 @@ func checkRange(r *relation.Relation, lo, hi int) error {
 }
 
 // ScanBlock accumulates the votes of rows [lo, hi) of r into t — the
-// batched form of the ScanTuple loop, in three passes over the block:
+// batched form of the per-tuple vote loop, in three passes over the block:
 // one kernel call for the fitness digests (replayed from the scratch
 // memo when another scanner of the same lane got there first), a fitness
 // and domain walk that stages the voting rows, one kernel call for their
@@ -243,7 +244,7 @@ func (bs *BlockScratch) stageColumns() {
 // domain walk stages the voting keys as one contiguous byte run, and a
 // second HashColumn call derives their positions. Every counter and
 // vote, including the order-sensitive Last column, lands exactly as
-// ScanTuple over Block.Tuple(i) would have it.
+// ScanBlock over the same rows would have it.
 //
 // bs follows the ScanBlock sharing rules; nil uses a throwaway scratch.
 func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) error {

@@ -112,8 +112,8 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 	}
 }
 
-// TestScanBlockSizeOneIsScanTuple pins the special case the API doc
-// promises: a size-1 block is exactly one ScanTuple call.
+// TestScanBlockSizeOneIsScanTuple pins the degenerate block: a size-1
+// ScanBlock is exactly one ScanTuple (reference) call.
 func TestScanBlockSizeOneIsScanTuple(t *testing.T) {
 	r := blockTestRelation(t, 200, 7)
 	opts := Options{
@@ -344,8 +344,8 @@ func FuzzScanBlockEquivalence(f *testing.F) {
 	})
 }
 
-// BenchmarkScanBlock compares the tuple-at-a-time vote kernel against
-// ScanBlock across block sizes — the microbenchmark behind the block
+// BenchmarkScanBlock measures ScanBlock across block sizes and the
+// columnar ScanColumns path — the microbenchmark behind the block
 // engine's headline (the CI bench job tracks it).
 func BenchmarkScanBlock(b *testing.B) {
 	r := blockTestRelation(b, 100000, 1)
@@ -358,16 +358,6 @@ func BenchmarkScanBlock(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := r.Len()
-	b.Run("tuple-loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tally := sc.NewTally()
-			for j := 0; j < n; j++ {
-				sc.ScanTuple(r.Tuple(j), tally)
-			}
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-	})
 	for _, block := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
 			b.ReportAllocs()

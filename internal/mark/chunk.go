@@ -193,7 +193,7 @@ func MergeChunks(chunks ...ChunkStats) EmbedStats {
 // Scanner is a prepared detection pass: options resolved, bandwidth fixed,
 // keyed-hash contexts built. It is immutable after construction and safe
 // for concurrent use by multiple goroutines scanning disjoint row ranges
-// (or disjoint tallies — see ScanTuple).
+// into disjoint tallies (merged afterwards in scan order, see Merge).
 type Scanner struct {
 	opts         Options
 	k1s          string // opts.K1 as a string: the memo lane key, converted once
@@ -202,7 +202,6 @@ type Scanner struct {
 	dom          *relation.Domain
 	bw           int
 	wmLen        int
-	h1, h2       *keyhash.Hasher
 	kern1, kern2 keyhash.Kernel
 }
 
@@ -241,14 +240,6 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		return nil, fmt.Errorf("%w: |wm|=%d, N/e=%d (N=%d, e=%d)",
 			ErrInsufficientBandwidth, wmLen, bw, n, opts.E)
 	}
-	h1, err := opts.K1.NewHasher()
-	if err != nil {
-		return nil, fmt.Errorf("mark: k1: %w", err)
-	}
-	h2, err := opts.K2.NewHasher()
-	if err != nil {
-		return nil, fmt.Errorf("mark: k2: %w", err)
-	}
 	kern1, err := opts.K1.NewKernel(opts.HashKernel)
 	if err != nil {
 		return nil, fmt.Errorf("mark: k1: %w", err)
@@ -265,8 +256,6 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		dom:     dom,
 		bw:      bw,
 		wmLen:   wmLen,
-		h1:      h1,
-		h2:      h2,
 		kern1:   kern1,
 		kern2:   kern2,
 	}, nil
@@ -314,40 +303,10 @@ func (t *Tally) Reset() {
 	}
 }
 
-// ScanTuple accumulates one tuple's vote into t — the single vote kernel
-// every detection path (sequential, chunked, streaming, batched) runs per
-// tuple: re-derive fitness and bit position from the tuple's own key, read
-// the value-index parity, tally it. tup must be in the schema attribute
-// order the scanner was prepared against; the relation it came from is
-// never needed. Concurrent callers must use distinct tallies and merge
-// them afterwards in scan order with Tally.Merge.
-func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
-	t.Rows++
-	keyVal := tup[s.keyCol]
-	d1 := s.h1.HashString(keyVal)
-	if !keyhash.Fit(d1, s.opts.E) {
-		return
-	}
-	t.Fit++
-	idx, ok := s.dom.Index(tup[s.attrCol])
-	if !ok {
-		t.UnknownValues++
-		return
-	}
-	pos := int(s.h2.HashString(keyVal).Mod(uint64(s.bw)))
-	bit := uint8(idx & 1)
-	if bit == ecc.One {
-		t.Votes[pos].Ones++
-	} else {
-		t.Votes[pos].Zeros++
-	}
-	t.Last[pos] = bit
-}
-
 // Scan reads rows [lo, hi) of r and accumulates their votes into t,
 // walking the range in DefaultBlockRows-sized blocks through ScanBlock
-// (one scratch for the whole call). The votes are bit-identical to the
-// ScanTuple loop over the same rows; the relation is never modified.
+// (one scratch for the whole call). The votes are bit-identical to a
+// tuple-at-a-time pass over the same rows; the relation is never modified.
 // Concurrent Scan calls must use distinct tallies; merge them afterwards
 // with Tally.Merge.
 func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {

@@ -10,6 +10,36 @@ import (
 	"repro/internal/relation"
 )
 
+// ScanTuple accumulates one tuple's vote into t — the reference
+// definition of the per-tuple work every detection engine batches:
+// re-derive fitness and bit position from the tuple's own key through
+// the unbatched keyed hash (keyhash.Hash), read the value-index parity,
+// tally it. tup must be in the schema attribute order the scanner was
+// prepared against. Production paths all scan block-at-a-time, so this
+// is test-only: the oracle the block engines are proven against
+// (TestScanBlockMatchesScanTuple, FuzzScanBlockEquivalence).
+func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
+	t.Rows++
+	keyVal := []byte(tup[s.keyCol])
+	if !keyhash.Fit(keyhash.Hash(s.opts.K1, keyVal), s.opts.E) {
+		return
+	}
+	t.Fit++
+	idx, ok := s.dom.Index(tup[s.attrCol])
+	if !ok {
+		t.UnknownValues++
+		return
+	}
+	pos := int(keyhash.Hash(s.opts.K2, keyVal).Mod(uint64(s.bw)))
+	bit := uint8(idx & 1)
+	if bit == ecc.One {
+		t.Votes[pos].Ones++
+	} else {
+		t.Votes[pos].Zeros++
+	}
+	t.Last[pos] = bit
+}
+
 // TestScanTupleMatchesScan proves the per-tuple entry point is the vote
 // kernel Scan is built from: feeding every tuple through ScanTuple —
 // including split across multiple tallies merged in scan order — yields

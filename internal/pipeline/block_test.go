@@ -49,16 +49,20 @@ func blockEngineRelation(t *testing.T, n int) (*relation.Relation, *relation.Dom
 }
 
 // TestDetectBlockRowsEquivalence proves the detection paths are
-// bit-identical across block sizes — including 1, odd sizes that leave
-// ragged tails, and the tuple-at-a-time legacy engine — for both vote
-// aggregations and both the materialized and streaming entry points.
+// bit-identical to the sequential materialized pass (mark.Detect) across
+// block sizes — including 1 and odd sizes that leave ragged tails — for
+// both vote aggregations and both the chunked and streaming entry
+// points.
 func TestDetectBlockRowsEquivalence(t *testing.T) {
 	r, _, csv, opts, wm := blockEngineRelation(t, 5000)
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		opts := opts
 		opts.Aggregation = agg
-		var want mark.DetectReport
-		for i, blockRows := range []int{0, -1, 1, 3, 511, 512, 4096, 1 << 20} {
+		want, err := mark.Detect(r, len(wm), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blockRows := range []int{0, 1, 3, 511, 512, 4096, 1 << 20} {
 			cfg := Config{Workers: 3, ChunkRows: 700, BlockRows: blockRows}
 			got, err := Detect(context.Background(), r, len(wm), opts, cfg)
 			if err != nil {
@@ -72,14 +76,11 @@ func TestDetectBlockRowsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				want = got
-			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("agg %v blockRows %d: Detect diverged from default engine", agg, blockRows)
+				t.Fatalf("agg %v blockRows %d: Detect diverged from mark.Detect", agg, blockRows)
 			}
 			if !reflect.DeepEqual(stream, want) {
-				t.Fatalf("agg %v blockRows %d: DetectReader diverged from default engine", agg, blockRows)
+				t.Fatalf("agg %v blockRows %d: DetectReader diverged from mark.Detect", agg, blockRows)
 			}
 			if got.WM.String() != wm.String() {
 				t.Fatalf("agg %v blockRows %d: lost the watermark: %s", agg, blockRows, got.WM)
@@ -161,7 +162,7 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 // nothing: a scanner fleet where several certificates share a fitness
 // key (one owner, many certificates — the memo's fast path) tallies
 // exactly like each scanner scanning the stream alone, and exactly like
-// the memo-less tuple-at-a-time engine.
+// its memo-less materialized pass (Scanner.Scan over the relation).
 func TestScanManyMemoEquivalence(t *testing.T) {
 	r, dom, csv, opts, _ := blockEngineRelation(t, 6000)
 	_ = dom
@@ -197,14 +198,17 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 	}
 
 	together := scan(scanners, Config{Workers: 3, ChunkRows: 900})
-	tuple := scan(scanners, Config{Workers: 3, ChunkRows: 900, BlockRows: -1})
 	for i, sc := range scanners {
 		alone := scan([]*mark.Scanner{sc}, Config{Workers: 1})
 		if !reflect.DeepEqual(together[i], alone[0]) {
 			t.Fatalf("scanner %d: memo-shared tally diverged from solo scan", i)
 		}
-		if !reflect.DeepEqual(together[i], tuple[i]) {
-			t.Fatalf("scanner %d: block tally diverged from tuple-at-a-time engine", i)
+		materialized := sc.NewTally()
+		if err := sc.Scan(r, 0, r.Len(), materialized); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(together[i], materialized) {
+			t.Fatalf("scanner %d: streamed tally diverged from the materialized pass", i)
 		}
 	}
 }
@@ -214,7 +218,7 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 // fan-out paths, at every block size, regardless of certificate count.
 func TestProgressCountsTuples(t *testing.T) {
 	r, _, csv, opts, wm := blockEngineRelation(t, 3000)
-	for _, blockRows := range []int{0, -1, 17, 512} {
+	for _, blockRows := range []int{0, 17, 512} {
 		var n atomic.Int64
 		cfg := Config{Workers: 3, ChunkRows: 500, BlockRows: blockRows,
 			Progress: func(tuples int) { n.Add(int64(tuples)) }}

@@ -10,17 +10,17 @@ import (
 	"repro/internal/relation"
 )
 
-// The columnar streaming engine: ScanMany's fast path for sources that
-// implement relation.BlockReader. The reader goroutine fills pooled
-// columnar blocks straight from the input bytes (no per-row tuples, no
-// per-field strings), groups them into chunk-sized jobs, and the worker
-// pool votes over each block's arena bytes through Scanner.ScanColumns.
-// Everything cycles: blocks return to the relation block pool after
-// scanning, per-chunk tally groups and job shells return to free lists
-// after collection, and each worker keeps one BlockScratch for its
-// lifetime — steady state performs zero allocations per row. Tallies
-// merge in stream order, so results (including LastWriteWins) are
-// bit-identical to the row-at-a-time path.
+// The columnar streaming engine behind ScanMany. The reader goroutine
+// fills pooled columnar blocks straight from the input bytes (no per-row
+// tuples, no per-field strings), groups them into chunk-sized jobs, and
+// the worker pool votes over each block's arena bytes through
+// Scanner.ScanColumns. Everything cycles: blocks return to the relation
+// block pool after scanning, per-chunk tally groups and job shells
+// return to free lists after collection, and each worker keeps one
+// BlockScratch for its lifetime — steady state performs zero allocations
+// per row. Tallies merge in stream order, so results (including
+// LastWriteWins) are bit-identical to the materialized pass
+// (mark.Detect, pipeline.Detect) over the same rows.
 
 // blockJob is one group of columnar blocks travelling through the pool,
 // plus the rendezvous channel its per-scanner tallies come back on.
@@ -35,10 +35,9 @@ type blockTallies struct {
 }
 
 // scanManyBlocks drives every scanner over a single pass of src,
-// accumulating into totals (one per scanner, in scanner order). Same
-// ordering, cancellation and error semantics as the runStream path:
-// tallies merge in stream order, rows buffered when a read error hits
-// are discarded, and a cancelled ctx stops the reader between blocks.
+// accumulating into totals (one per scanner, in scanner order). Tallies
+// merge in stream order, rows buffered when a read error hits are
+// discarded, and a cancelled ctx stops the reader between blocks.
 func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*mark.Scanner, totals []*mark.Tally, cfg Config) ([]*mark.Tally, error) {
 	workers := cfg.workers()
 	blockRows := cfg.blockRows()
@@ -151,8 +150,8 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 				break
 			}
 			if err != nil {
-				// Discard the buffered group, like the row path discards
-				// its partial chunk: the whole call errors out anyway.
+				// Discard the buffered group: the whole call errors out
+				// anyway.
 				relation.PutBlock(blk)
 				readErr = err
 				return

@@ -36,12 +36,13 @@ func blockStreamScanners(t testing.TB, r *relation.Relation, dom *relation.Domai
 	return scanners
 }
 
-// TestScanManyBlockReaderEquivalence is the columnar fast-path proof:
-// ScanMany fed by the zero-copy CSV and JSONL block readers produces,
-// for every scanner, tallies bit-identical to the row-reader path and
-// to the materialized pass — for both vote aggregations and across
-// worker counts, chunk sizes and block sizes (size-1 blocks and ragged
-// tails included).
+// TestScanManyBlockReaderEquivalence is the streaming engine's proof:
+// ScanMany fed by the zero-copy CSV and JSONL block readers, and by a
+// materialized relation through the relation.Blocks adapter, produces
+// for every scanner a tally bit-identical to the materialized pass
+// (Scanner.Scan over the relation) — for both vote aggregations and
+// across worker counts, chunk sizes and block sizes (size-1 blocks,
+// ragged tails, and a block larger than the whole stream included).
 func TestScanManyBlockReaderEquivalence(t *testing.T) {
 	r, dom := testData(t, 7000)
 	var csvData, jsonlData strings.Builder
@@ -54,9 +55,12 @@ func TestScanManyBlockReaderEquivalence(t *testing.T) {
 
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		scanners := blockStreamScanners(t, r, dom, agg)
-		want, err := ScanMany(context.Background(), relation.Rows(r), scanners, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		want := make([]*mark.Tally, len(scanners))
+		for i, sc := range scanners {
+			want[i] = sc.NewTally()
+			if err := sc.Scan(r, 0, r.Len(), want[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, cfg := range []Config{
 			{Workers: 1},
@@ -64,39 +68,30 @@ func TestScanManyBlockReaderEquivalence(t *testing.T) {
 			{Workers: 3, ChunkRows: 1100, BlockRows: 1},
 			{Workers: 4, ChunkRows: 999, BlockRows: 37},
 			{Workers: 16, ChunkRows: 100, BlockRows: 512},
+			{Workers: 2, BlockRows: 1 << 20},
 		} {
-			for _, format := range []string{"csv", "jsonl"} {
+			for _, format := range []string{"csv", "jsonl", "rows"} {
 				var src relation.RowReader
-				if format == "csv" {
+				switch format {
+				case "csv":
 					br, err := relation.NewCSVBlockReader(strings.NewReader(csvData.String()), r.Schema())
 					if err != nil {
 						t.Fatal(err)
 					}
 					src = br
-				} else {
+				case "jsonl":
 					src = relation.NewJSONLBlockReader(strings.NewReader(jsonlData.String()), r.Schema())
+				default:
+					src = relation.Rows(r)
 				}
 				got, err := ScanMany(context.Background(), src, scanners, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("agg %v cfg %+v %s: block-reader ScanMany diverged from materialized pass", agg, cfg, format)
+					t.Fatalf("agg %v cfg %+v %s: streamed ScanMany diverged from materialized pass", agg, cfg, format)
 				}
 			}
-		}
-		// The legacy engine request (BlockRows < 0) must bypass the fast
-		// path and still agree.
-		br, err := relation.NewCSVBlockReader(strings.NewReader(csvData.String()), r.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ScanMany(context.Background(), br, scanners, Config{Workers: 2, ChunkRows: 500, BlockRows: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("agg %v: legacy-engine pass over a block reader diverged", agg)
 		}
 	}
 }
@@ -191,8 +186,9 @@ func TestScanManyBlocksAllocsPerRow(t *testing.T) {
 }
 
 // BenchmarkScanManyIngestion measures the end-to-end streaming scan —
-// bytes in, tallies out — over the legacy row readers vs the zero-copy
-// block readers, for both wire formats.
+// bytes in, tallies out — over the stdlib-backed row readers (adapted
+// through relation.Blocks) vs the zero-copy block readers, for both
+// wire formats.
 func BenchmarkScanManyIngestion(b *testing.B) {
 	r, dom := testData(b, 50000)
 	var csvData, jsonlData strings.Builder

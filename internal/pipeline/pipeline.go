@@ -8,14 +8,15 @@
 // relation.RowReader streams so datasets never need to be fully
 // materialized.
 //
-// Within a chunk, every path — sequential, worker-pool, streaming,
-// multi-certificate fan-out — feeds fixed-size tuple blocks
-// (Config.BlockRows) through the batched keyed-hash kernels of
-// mark.ScanBlock/EmbedBlock rather than looping tuple-at-a-time, and the
-// multi-certificate engine runs its certificate loop inside the block
-// loop so a block's keys and digests stay cache-resident across all
-// certificates of a batch audit. Config.Progress observes the pass at
-// block granularity — the tuples-scanned counter async jobs report.
+// Every path feeds fixed-size tuple blocks (Config.BlockRows) through
+// the batched keyed-hash kernels rather than looping tuple-at-a-time:
+// the materialized passes through mark.ScanBlock/EmbedBlock, streaming
+// detection through the columnar engine of blockstream.go
+// (mark.ScanColumns over relation.Block arenas), which runs its
+// certificate loop inside the block loop so a block's keys and digests
+// stay cache-resident across all certificates of a batch audit.
+// Config.Progress observes the pass at block granularity — the
+// tuples-scanned counter async jobs report.
 //
 // This is the execution engine behind core.Spec.Workers, wmtool -parallel
 // and the wmserver handlers.
@@ -25,8 +26,9 @@
 // async-job cancellation (internal/jobs) or a server shutdown actually
 // halts scan work mid-pass instead of burning CPU to the end of the
 // dataset. Cancellation is chunk-granular: a worker finishes the chunk in
-// its hands, then exits; the streaming reader additionally checks between
-// rows, so a cancelled streaming pass stops without draining its source.
+// its hands, then exits; the streaming readers additionally check between
+// blocks (detection) or rows (embedding), so a cancelled streaming pass
+// stops without draining its source.
 package pipeline
 
 import (
@@ -52,11 +54,10 @@ type Config struct {
 	ChunkRows int
 	// BlockRows is the number of rows per scan block — the unit the
 	// workers feed through the batched keyed-hash kernels
-	// (mark.ScanBlock / mark.EmbedBlock), and the granularity of
-	// Progress ticks. 0 means mark.DefaultBlockRows. A negative value
-	// selects the tuple-at-a-time legacy engine (mark.ScanTuple per row)
-	// on the detection paths — the baseline the block-engine benchmarks
-	// compare against; embedding always runs block-at-a-time.
+	// (mark.ScanBlock / mark.EmbedBlock, and the relation.Block a
+	// streaming scan reads), and the granularity of Progress ticks. 0 or
+	// negative means mark.DefaultBlockRows. Results are bit-identical at
+	// every size.
 	BlockRows int
 	// Progress, when non-nil, is invoked with the number of suspect
 	// tuples each completed scan block covered — the hook async jobs use
@@ -68,9 +69,9 @@ type Config struct {
 	// Phases, when non-nil, accumulates per-phase CPU time
 	// (ingest/hash/vote/merge) for the columnar streaming engine —
 	// coarse block-boundary clocks summed across workers, read by trace
-	// spans. Only scanManyBlocks (the ScanMany fast path) meters itself;
-	// leave nil on unsampled passes so the zero-allocation path never
-	// reads a clock.
+	// spans. Only ScanMany (and DetectMany/DetectReader over it) meters
+	// itself; leave nil on unsampled passes so the zero-allocation path
+	// never reads a clock.
 	Phases *trace.Phases
 }
 
@@ -124,17 +125,10 @@ func (c Config) report(tuples int) {
 	}
 }
 
-// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time
-// (or tuple-at-a-time when cfg.BlockRows < 0), checking ctx and ticking
-// progress between blocks. bs is the caller's per-goroutine scratch.
+// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time,
+// checking ctx and ticking progress between blocks. bs is the caller's
+// per-goroutine scratch.
 func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, cfg Config) error {
-	if cfg.BlockRows < 0 {
-		for j := lo; j < hi; j++ {
-			sc.ScanTuple(r.Tuple(j), t)
-		}
-		cfg.report(hi - lo)
-		return nil
-	}
 	br := cfg.blockRows()
 	for blockLo := lo; blockLo < hi; blockLo += br {
 		if err := ctx.Err(); err != nil {

@@ -13,9 +13,9 @@ var (
 	statBlocks atomic.Uint64
 )
 
-// Stats reports the cumulative number of tuples and scan blocks (or
-// progress ticks, for tuple-at-a-time and streaming chunk paths) that
-// this process's pipelines have pushed through scan and embed passes.
+// Stats reports the cumulative number of tuples and scan blocks (one
+// progress tick each) that this process's pipelines have pushed through
+// scan and embed passes.
 func Stats() (tuples, blocks uint64) {
 	return statTuples.Load(), statBlocks.Load()
 }

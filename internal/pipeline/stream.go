@@ -10,21 +10,24 @@ import (
 	"repro/internal/relation"
 )
 
-// Streaming ingestion: the same chunked worker pool, fed from a
-// relation.RowReader instead of a materialized relation. Rows are
-// buffered into chunk-sized mini-relations; workers embed or scan each
-// chunk while the reader fills the next, and a single collector consumes
-// results in chunk order (so LastWriteWins detection and output row order
-// match the sequential pass). Memory is bounded by
-// workers × chunk size, never by the dataset.
+// Streaming ingestion: the same worker pool, fed from a
+// relation.RowReader instead of a materialized relation. Detection
+// (ScanMany and its wrappers) runs on the columnar block engine of
+// blockstream.go; embedding (EmbedReader) buffers rows into chunk-sized
+// mini-relations that workers rewrite while the reader fills the next.
+// Either way a single collector consumes results in chunk order (so
+// LastWriteWins detection and output row order match the sequential
+// pass), and memory is bounded by workers × chunk size, never by the
+// dataset.
 //
-// Because the stream's length is unknown up front, both entry points
+// Because the stream's length is unknown up front, both directions
 // require Options.BandwidthOverride (the embedding-time |wm_data|) and
 // Options.Domain (the value catalog) — exactly the parameters that travel
-// in a core.Record. Primary-key uniqueness is enforced only within a
-// chunk; a stream with duplicate keys across chunks is the caller's
-// responsibility, as detecting it would require materializing the key
-// set.
+// in a core.Record. Streaming detection never checks primary-key
+// uniqueness: a key that occurs twice (an additive or mix-and-match
+// attack produces exactly that) is scored once per copy, wherever the
+// copies fall in the stream. EmbedReader's keyed mini-relations reject a
+// key repeated within one chunk, but not across chunks.
 
 // StreamChunkRows is the default chunk size for streaming passes.
 const StreamChunkRows = 8192
@@ -37,33 +40,34 @@ func (c Config) streamChunkRows() int {
 }
 
 // streamJob is one chunk travelling through the streaming pool: the
-// mini-relation plus a rendezvous channel its result comes back on.
-type streamJob[T any] struct {
+// mini-relation plus a rendezvous channel its embedding statistics come
+// back on.
+type streamJob struct {
 	rel *relation.Relation
-	res chan streamResult[T]
+	res chan streamResult
 }
 
-type streamResult[T any] struct {
-	val T
+type streamResult struct {
+	cs  mark.ChunkStats
 	err error
 }
 
 // runStream reads chunk mini-relations from src and routes each through
-// work on a pool of workers, invoking collect for every chunk result in
-// stream order. It returns the first error from reading, working, or
-// collecting; a collect error stops the reader early. A cancelled ctx
-// stops the reader between rows — the source is NOT drained — and the
-// call reports ctx.Err().
+// work on a pool of workers, invoking collect for every chunk (with the
+// statistics work returned for it) in stream order — the engine behind
+// EmbedReader. It returns the first error from reading, working, or
+// collecting; a collect error stops the reader early. A cancelled ctx stops the reader between rows — the
+// source is NOT drained — and the call reports ctx.Err().
 //
 // Chunk relations are recycled: once collect returns for a chunk, its
 // mini-relation goes back to the reader for refilling, so neither work
 // nor collect may retain it (or any tuple of it) past their return.
-func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, work func(*relation.Relation) (T, error), collect func(T) error) error {
+func runStream(ctx context.Context, src relation.RowReader, cfg Config, work func(*relation.Relation) (mark.ChunkStats, error), collect func(*relation.Relation, mark.ChunkStats) error) error {
 	workers := cfg.workers()
 	chunkRows := cfg.streamChunkRows()
 
-	jobs := make(chan *streamJob[T], workers)
-	ordered := make(chan *streamJob[T], workers)
+	jobs := make(chan *streamJob, workers)
+	ordered := make(chan *streamJob, workers)
 	freeRels := make(chan *relation.Relation, 2*workers)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -87,11 +91,11 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 			defer wg.Done()
 			for job := range jobs {
 				if ctx.Err() != nil {
-					job.res <- streamResult[T]{err: ctx.Err()}
+					job.res <- streamResult{err: ctx.Err()}
 					continue
 				}
-				val, err := work(job.rel)
-				job.res <- streamResult[T]{val, err}
+				cs, err := work(job.rel)
+				job.res <- streamResult{cs, err}
 			}
 		}()
 	}
@@ -111,7 +115,7 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 		}
 		rel := newRel()
 		dispatch := func() bool {
-			job := &streamJob[T]{rel: rel, res: make(chan streamResult[T], 1)}
+			job := &streamJob{rel: rel, res: make(chan streamResult, 1)}
 			select {
 			case <-stop:
 				return false
@@ -162,7 +166,7 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 		if firstErr == nil {
 			if r.err != nil {
 				firstErr = r.err
-			} else if err := collect(r.val); err != nil {
+			} else if err := collect(job.rel, r.cs); err != nil {
 				firstErr = err
 			}
 			if firstErr != nil {
@@ -200,21 +204,19 @@ func EmbedReader(ctx context.Context, src relation.RowReader, dst relation.RowWr
 	}
 	var agg mark.ChunkStats
 	err = runStream(ctx, src, cfg,
-		func(rel *relation.Relation) (*streamEmbedOut, error) {
+		func(rel *relation.Relation) (mark.ChunkStats, error) {
 			var cs mark.ChunkStats
 			var bs mark.BlockScratch
-			if err := embedRange(ctx, em, rel, 0, rel.Len(), &cs, &bs, cfg); err != nil {
-				return nil, err
-			}
-			return &streamEmbedOut{rel: rel, cs: cs}, nil
+			err := embedRange(ctx, em, rel, 0, rel.Len(), &cs, &bs, cfg)
+			return cs, err
 		},
-		func(out *streamEmbedOut) error {
-			for i := 0; i < out.rel.Len(); i++ {
-				if err := dst.Write(out.rel.Tuple(i)); err != nil {
+		func(rel *relation.Relation, cs mark.ChunkStats) error {
+			for i := 0; i < rel.Len(); i++ {
+				if err := dst.Write(rel.Tuple(i)); err != nil {
 					return err
 				}
 			}
-			agg.Add(out.cs)
+			agg.Add(cs)
 			return nil
 		})
 	if err != nil {
@@ -228,25 +230,24 @@ func EmbedReader(ctx context.Context, src relation.RowReader, dst relation.RowWr
 	return st, nil
 }
 
-type streamEmbedOut struct {
-	rel *relation.Relation
-	cs  mark.ChunkStats
-}
-
 // ScanMany is the fan-out detection engine: it drives every prepared
 // scanner over a SINGLE pass of src and returns one merged tally per
-// scanner, in scanner order. Chunks are scanned on the worker pool
-// block-at-a-time with the certificate loop INSIDE the block loop: each
-// fixed-size block's key column is extracted once, its fitness digests
-// are computed once per distinct lane (certificates sharing an owner
-// secret replay each other's digests through the scratch memo), and the
-// block's keys and digests stay cache-resident while every scanner
+// scanner, in scanner order. The pass runs on the columnar block engine
+// (scanManyBlocks): the reader fills fixed-size blocks, workers scan
+// chunk-sized groups of them with the certificate loop INSIDE the block
+// loop — each block's key column is hashed once per distinct lane
+// (certificates sharing an owner secret replay each other's digests
+// through the scratch memo) and stays cache-resident while every scanner
 // sweeps it. Per-chunk tallies merge in stream order, so every tally —
 // including its LastWriteWins column — is bit-identical to scanning the
 // materialized stream with that scanner alone. The dataset is read,
 // parsed and chunked exactly once no matter how many scanners ride the
 // pass; this is what makes corpus-against-catalog verification
 // (core.VerifyBatch) scale with the number of certificates.
+//
+// The zero-copy block readers (relation.CSVBlockReader,
+// relation.JSONLBlockReader) are scanned without a per-row allocation;
+// any other RowReader is adapted through relation.Blocks.
 //
 // Scanners must have been prepared against src's schema (their key and
 // attribute columns are resolved positions). With zero scanners the stream
@@ -260,56 +261,7 @@ func ScanMany(ctx context.Context, src relation.RowReader, scanners []*mark.Scan
 	if len(scanners) == 0 {
 		return totals, nil
 	}
-	if br, ok := src.(relation.BlockReader); ok && cfg.BlockRows >= 0 {
-		// Columnar fast path: the source fills pooled blocks directly
-		// (zero allocations per row), and the scanners vote over the
-		// arena bytes through Scanner.ScanColumns. Bit-identical to the
-		// row path below — the equivalence tests drive both.
-		return scanManyBlocks(ctx, br, scanners, totals, cfg)
-	}
-	err := runStream(ctx, src, cfg,
-		func(rel *relation.Relation) ([]*mark.Tally, error) {
-			parts := make([]*mark.Tally, len(scanners))
-			for i, sc := range scanners {
-				parts[i] = sc.NewTally()
-			}
-			if cfg.BlockRows < 0 {
-				// Tuple-at-a-time legacy engine: scanner-major, each
-				// scanner sweeping the chunk with its own hasher state.
-				for i, sc := range scanners {
-					for j := 0; j < rel.Len(); j++ {
-						sc.ScanTuple(rel.Tuple(j), parts[i])
-					}
-				}
-				cfg.report(rel.Len())
-				return parts, nil
-			}
-			var bs mark.BlockScratch
-			br := cfg.blockRows()
-			for lo := 0; lo < rel.Len(); lo += br {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				hi := min(lo+br, rel.Len())
-				for i, sc := range scanners {
-					if err := sc.ScanBlock(rel, lo, hi, parts[i], &bs); err != nil {
-						return nil, err
-					}
-				}
-				cfg.report(hi - lo)
-			}
-			return parts, nil
-		},
-		func(parts []*mark.Tally) error {
-			for i := range totals {
-				totals[i].Merge(parts[i])
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return totals, nil
+	return scanManyBlocks(ctx, relation.Blocks(src), scanners, totals, cfg)
 }
 
 // DetectOutcome is one scanner's result from DetectMany. Err carries a

@@ -126,8 +126,8 @@ func (b *Block) Col(i int) *Column { return &b.cols[i] }
 // as Column.Value.
 func (b *Block) Value(row, col int) []byte { return b.cols[col].Value(row) }
 
-// Tuple materializes row i as an owned Tuple — the compatibility bridge
-// to the row-at-a-time engine; it allocates one string per field.
+// Tuple materializes row i as an owned Tuple — the bridge behind the
+// block readers' RowReader view; it allocates one string per field.
 func (b *Block) Tuple(i int) Tuple {
 	t := make(Tuple, len(b.cols))
 	for c := range b.cols {

@@ -132,6 +132,42 @@ var csvOracleCases = []string{
 	"Visit_Nbr\n1\n",
 }
 
+// TestBlocksAdapter pins relation.Blocks to the BlockReader contract:
+// a row source comes out block by block with exactly its rows, a
+// mid-stream error arrives after the rows before it and stays sticky,
+// and a source that already is a BlockReader passes through unchanged.
+func TestBlocksAdapter(t *testing.T) {
+	schema := rowioSchema(t)
+	for _, in := range csvOracleCases {
+		for _, blockRows := range []int{0, 1, 2, 512} {
+			rr, err := NewCSVRowReader(strings.NewReader(in), schema)
+			if err != nil {
+				continue // header errors never reach the adapter
+			}
+			want, wantErr := drainRows(rr)
+			rr, _ = NewCSVRowReader(strings.NewReader(in), schema)
+			br := Blocks(rr)
+			got, gotErr := drainBlockRows(t, br, blockRows)
+			if (wantErr != nil) != (gotErr != nil) || !sameRows(want, got) {
+				t.Fatalf("%q blockRows %d: adapter gave %q, %v; rows gave %q, %v",
+					in, blockRows, got, gotErr, want, wantErr)
+			}
+			if gotErr != nil {
+				if n, err := br.ReadBlock(NewBlock(schema), blockRows); n != 0 || err != gotErr {
+					t.Fatalf("%q: error not sticky: (%d, %v) after %v", in, n, err, gotErr)
+				}
+			}
+		}
+	}
+	cbr, err := NewCSVBlockReader(strings.NewReader(csvOracleCases[0]), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Blocks(cbr) != BlockReader(cbr) {
+		t.Fatal("Blocks wrapped a source that already is a BlockReader")
+	}
+}
+
 func TestCSVBlockReaderMatchesLegacy(t *testing.T) {
 	for _, in := range csvOracleCases {
 		for _, blockRows := range []int{1, 2, 512} {

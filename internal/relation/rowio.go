@@ -22,9 +22,9 @@ type RowReader interface {
 	Schema() *Schema
 	// Read returns the next tuple, in schema attribute order. It returns
 	// io.EOF after the last tuple. The returned tuple is owned by the
-	// caller. Primary-key uniqueness is NOT enforced across a stream —
-	// only a materialized Relation can afford the index; streaming callers
-	// that need it must track keys themselves.
+	// caller. Primary-key uniqueness is NOT enforced anywhere in a stream
+	// — only a materialized Relation (ReadAll) can afford the index, so
+	// streaming detection scores a duplicated key once per copy.
 	Read() (Tuple, error)
 }
 
@@ -252,4 +252,40 @@ func (m *memRowReader) Read() (Tuple, error) {
 	t := m.r.Tuple(m.i).Clone()
 	m.i++
 	return t, nil
+}
+
+// Blocks adapts a RowReader to the BlockReader interface, so sources
+// without a columnar reader of their own (Rows, the stdlib-backed
+// CSV/JSONL readers, test doubles) feed the same block engine. A source
+// that already is a BlockReader is returned unchanged.
+func Blocks(rr RowReader) BlockReader {
+	if br, ok := rr.(BlockReader); ok {
+		return br
+	}
+	return &rowBlocks{rr: rr}
+}
+
+type rowBlocks struct {
+	rr  RowReader
+	err error // sticky, per the BlockReader contract
+}
+
+func (a *rowBlocks) Schema() *Schema { return a.rr.Schema() }
+
+func (a *rowBlocks) ReadBlock(b *Block, maxRows int) (int, error) {
+	b.Reset(a.rr.Schema())
+	if maxRows <= 0 {
+		maxRows = compatBlockRows
+	}
+	for a.err == nil && b.Rows() < maxRows {
+		t, err := a.rr.Read()
+		if err == nil {
+			err = b.AppendTuple(t)
+		}
+		a.err = err
+	}
+	if a.err == io.EOF && b.Rows() > 0 {
+		return b.Rows(), nil
+	}
+	return b.Rows(), a.err
 }

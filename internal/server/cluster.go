@@ -140,11 +140,10 @@ func (s *Server) clusterVerifyBatch(ctx context.Context, recs []*core.Record, sr
 		return prep.Reports(nil), nil
 	}
 	tallies, err := s.coord.ScanShards(ctx, src, prep.Scanners(), cluster.ScanJob{
-		Records:   prep.Records(),
-		Schema:    relation.SchemaSpec(src.Schema()),
-		BlockRows: opts.BlockSize,
-		Workers:   opts.Workers,
-		Progress:  opts.Progress,
+		Records:  prep.Records(),
+		Schema:   relation.SchemaSpec(src.Schema()),
+		Workers:  opts.Workers,
+		Progress: opts.Progress,
 	})
 	if err != nil {
 		return nil, err

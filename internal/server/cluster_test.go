@@ -62,7 +62,7 @@ func newClusterWorker(t *testing.T, coord *Server, id string, capacity int, wrap
 // the unit of the bit-identical acceptance checks.
 func rawBody(t *testing.T, rawURL, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(rawURL, contentTypeCSV, strings.NewReader(body))
+	resp, err := http.Post(rawURL, api.ContentTypeCSV, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestClusterAuditEquivalence(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("local reference status %d: %s", status, want)
 	}
-	var wantResp BatchVerifyResponse
+	var wantResp api.BatchVerifyResponse
 	if err := json.Unmarshal(want, &wantResp); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestJobLongPollHandler(t *testing.T) {
 		t.Fatalf("terminal long-poll parked for %v", elapsed)
 	}
 
-	var e apiError
+	var e api.Error
 	resp, err = http.Get(ts.URL + "/v2/jobs/" + job.ID + "?wait=bogus")
 	if err != nil {
 		t.Fatal(err)

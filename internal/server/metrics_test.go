@@ -132,7 +132,16 @@ func TestMetricsEndpointExposesAllLayers(t *testing.T) {
 		t.Fatalf("job finished %s: %+v", final.State, final.Error)
 	}
 
+	// A request is recorded after its handler returns, which can be after
+	// the client has read the whole reply (the watermark response is big
+	// enough to reach the socket from inside the handler), so wait until
+	// the three calls above are recorded before asserting on the scrape.
 	m := scrapeMetrics(t, ts.URL)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
+		(metricSum(m, `wm_http_requests_total{`) < 3 || metricSum(m, `wm_http_request_duration_seconds_count{`) < 3); {
+		time.Sleep(5 * time.Millisecond)
+		m = scrapeMetrics(t, ts.URL)
+	}
 
 	// HTTP layer: the watermark and job calls above must be counted as
 	// 2xx, and the duration histogram must have observed them.

@@ -38,7 +38,7 @@
 // schema-spec grammar of internal/relation, or — on the verify endpoints —
 // as RAW streamed request bodies: POST with Content-Type text/csv or
 // application/x-ndjson and the rows flow straight from the socket into
-// the detection pipeline tuple-at-a-time, never materialized in a request
+// the detection pipeline block by block, never materialized in a request
 // struct (parameters travel as query strings). Prepared certificate state
 // is cached across requests (core.ScannerCache), so auditing many
 // suspects against a registered catalog re-derives keys and domains once.
@@ -406,11 +406,10 @@ func isStreamType(mt string) bool {
 }
 
 // rowReaderForFormat builds a streaming reader for an inline payload
-// format name ("csv" or "jsonl"). The zero-copy block readers returned
-// here implement RowReader for every consumer, and the scan engines
-// (pipeline.ScanMany, cluster.ScanShards) recognize their BlockReader /
-// RawShardSource sides to take the zero-allocation columnar and raw
-// byte-range shard paths.
+// format name ("csv" or "jsonl"). It always returns a zero-copy block
+// reader: pipeline.ScanMany scans its blocks without a per-row
+// allocation, and cluster.ScanShards — which accepts nothing else —
+// slices shard payloads out of its raw input bytes.
 func rowReaderForFormat(format string, rd io.Reader, schema *relation.Schema) (relation.RowReader, error) {
 	switch strings.ToLower(format) {
 	case "", "csv":
