@@ -477,8 +477,9 @@ func BenchmarkPipelineDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineStreamDetect: the streaming DetectReader over a CSV
-// stream of the same relation — the no-materialization path.
+// BenchmarkPipelineStreamDetect: streaming detection (ScanMany plus
+// Scanner.Report) over a CSV stream of the same relation — the
+// no-materialization path.
 func BenchmarkPipelineStreamDetect(b *testing.B) {
 	r, dom := pipelineBenchData(b)
 	wm := ecc.MustParseBits("1011001110")
@@ -492,6 +493,10 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts.BandwidthOverride = st.Bandwidth
+	sc, err := mark.NewStreamScanner(r.Schema(), len(wm), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -499,7 +504,11 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := pipeline.DetectReader(context.Background(), src, len(wm), opts, pipeline.Config{})
+		tallies, err := pipeline.ScanMany(context.Background(), src, []*mark.Scanner{sc}, pipeline.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := sc.Report(tallies[0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -51,6 +51,67 @@ func TestTargetShardRowsSeedsFromAdvertisedRate(t *testing.T) {
 	}
 }
 
+// TestTargetShardRowsAllBusy pins the sizing of a shard queued while
+// every worker is busy: it goes to whoever frees a slot first, so it is
+// sized for the observed worker predicted to finish first, and never
+// faster than a worker still on its first shard provably runs (rows held
+// / time held) — that worker may be the one to free up.
+func TestTargetShardRowsAllBusy(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewCoordinator(Config{
+		AutoShardRows: true, ShardRows: 400, TargetShardLatency: time.Second,
+		MinShardRows: 1, MaxShardRows: 1_000_000,
+	}, withClock(func() time.Time { return now }))
+	c.Register(api.WorkerRegistration{ID: "fast", URL: "http://fast"})
+	c.Register(api.WorkerRegistration{ID: "slow", URL: "http://slow"})
+	dispatch := func(want string, rows int) *member {
+		t.Helper()
+		m := c.acquire(nil)
+		if m == nil || m.id != want {
+			t.Fatalf("expected %s to take the shard, got %v", want, m)
+		}
+		c.shardStarted(m, rows)
+		return m
+	}
+	fast := dispatch("fast", 400)
+	slow := dispatch("slow", 400)
+
+	// fast reports 10k rows/s and takes a 10k-row shard; slow has held
+	// its 400 rows for 40ms, so it runs under 10k rows/s as well.
+	now = now.Add(40 * time.Millisecond)
+	c.release(fast, false)
+	c.observeRate(fast, 400, 40*time.Millisecond)
+	dispatch("fast", 10_000)
+	if got := c.targetShardRows(); got != 10_000 {
+		t.Fatalf("queued shard with slow unobserved for 40ms = %d, want 10000", got)
+	}
+	now = now.Add(60 * time.Millisecond) // 0.1s: under 4000 rows/s
+	if got := c.targetShardRows(); got != 4000 {
+		t.Fatalf("queued shard with slow unobserved for 0.1s = %d, want 4000", got)
+	}
+	now = now.Add(1900 * time.Millisecond) // 2s: under 200 rows/s
+	if got := c.targetShardRows(); got != 200 {
+		t.Fatalf("queued shard with slow unobserved for 2s = %d, want 200", got)
+	}
+
+	// Both observed: fast restarts on 10k rows (due in 1s), slow at
+	// 200 rows/s on 100 rows (due in 0.5s) — slow frees first.
+	c.release(fast, false)
+	c.release(slow, false)
+	c.observeRate(slow, 400, 2*time.Second)
+	dispatch("fast", 10_000)
+	dispatch("slow", 100)
+	if got := c.targetShardRows(); got != 200 {
+		t.Fatalf("queued shard with slow due first = %d, want slow's 200", got)
+	}
+	// slow restarts on 400 rows (due in 2s): now fast frees first.
+	c.release(slow, false)
+	dispatch("slow", 400)
+	if got := c.targetShardRows(); got != 10_000 {
+		t.Fatalf("queued shard with fast due first = %d, want fast's 10000", got)
+	}
+}
+
 // TestTargetShardRowsTracksObservedRate pins the steady-state path: a
 // completed shard's rows/s beats any advertised seed, later shards fold
 // in by EWMA, and the [min, max] clamp bounds the result.
@@ -107,27 +168,9 @@ func TestTargetShardRowsTracksObservedRate(t *testing.T) {
 // fresh shard would use, and inherit the attempt budget and failure set.
 func TestSplitTask(t *testing.T) {
 	f := newAuditFixture(t, 101, 1)
-	var buf strings.Builder
-	w, err := relation.NewCSVRowWriter(&buf, f.schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := f.rows()
-	for {
-		tup, err := src.Read()
-		if err != nil {
-			break
-		}
-		if err := w.Write(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background()}
 	task := &shardTask{
-		idx: 7, data: buf.String(), rows: 101, attempts: 1,
+		idx: 7, data: f.csv, rows: 101, attempts: 1,
 		failed: map[string]bool{"w-dead": true},
 	}
 	children, err := s.splitTask(task)
@@ -145,7 +188,7 @@ func TestSplitTask(t *testing.T) {
 		if ch.idx != 7 || ch.sub != i || !ch.child || ch.attempts != 1 || !ch.failed["w-dead"] {
 			t.Fatalf("child %d metadata wrong: %+v", i, ch)
 		}
-		r, err := relation.NewCSVRowReader(strings.NewReader(ch.data), f.schema)
+		r, err := relation.NewCSVBlockReader(strings.NewReader(ch.data), f.schema)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +210,7 @@ func TestSplitTask(t *testing.T) {
 	if children[1].failed["w-other"] {
 		t.Fatal("children share a failed set")
 	}
-	orig, err := relation.NewCSVRowReader(strings.NewReader(task.data), f.schema)
+	orig, err := relation.NewCSVBlockReader(strings.NewReader(task.data), f.schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +384,7 @@ func maxInts(xs []int) int {
 func TestWorkerStatusCarriesRates(t *testing.T) {
 	c := NewCoordinator(Config{})
 	c.Register(api.WorkerRegistration{
-		ID: "w", URL: "http://w", Kernel: "multibuffer4", HashesPerSec: 7e6,
+		ID: "w", URL: "http://w", Kernel: "avx2", HashesPerSec: 7e6,
 	})
 	c.mu.Lock()
 	m := c.members["w"]
@@ -353,7 +396,7 @@ func TestWorkerStatusCarriesRates(t *testing.T) {
 		t.Fatalf("want 1 worker, got %d", len(st.Workers))
 	}
 	w := st.Workers[0]
-	if w.Kernel != "multibuffer4" || w.HashesPerSec != 7e6 || w.RowsPerSec != 9000 {
+	if w.Kernel != "avx2" || w.HashesPerSec != 7e6 || w.RowsPerSec != 9000 {
 		t.Fatalf("status row lost the rates: %+v", w)
 	}
 	if fmt.Sprintf("%.0f", w.RowsPerSec) != "9000" {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -55,6 +56,12 @@ type member struct {
 	// shards) — what auto shard sizing trusts once it exists. Zero until
 	// the worker completes its first shard.
 	rowsPerSec float64
+	// lastShardAt and lastShardRows describe the shard most recently
+	// dispatched to the worker. With rowsPerSec they predict when the
+	// worker frees its slot; without it they bound its rate, since a
+	// worker that has held R rows for T seconds scans under R/T rows/s.
+	lastShardAt   time.Time
+	lastShardRows int
 }
 
 // CoordinatorOption customises a Coordinator.
@@ -304,6 +311,13 @@ func (c *Coordinator) activeScansLocked() []*scan {
 // the shard size.
 const rateAlpha = 0.4
 
+// shardStarted notes a shard dispatched to m, for targetShardRows.
+func (c *Coordinator) shardStarted(m *member, rows int) {
+	c.mu.Lock()
+	m.lastShardAt, m.lastShardRows = c.now(), rows
+	c.mu.Unlock()
+}
+
 // observeRate folds one completed shard into the worker's rows/s EWMA.
 // The first observation is taken whole (no decay toward the seed — the
 // seed is a cross-machine heuristic, a measurement beats it outright).
@@ -342,13 +356,34 @@ func (c *Coordinator) targetShardRows() int {
 		}
 	}
 	if best == nil {
-		// Every live worker is busy (or none exists). Size for the
-		// cluster's mean observed rate so the queued shard suits whoever
-		// frees up first.
-		if mean := c.meanRateLocked(); mean > 0 {
-			return c.clampRows(int(mean * c.cfg.targetShardLatency().Seconds()))
+		// Every live worker is busy (or none exists), so the queued
+		// shard goes to whoever frees a slot first. Size it for the
+		// observed worker predicted to finish its latest shard first —
+		// but no faster than a worker without an observed rate provably
+		// runs, since that worker may free up sooner.
+		now := c.now()
+		var next *member
+		var nextDone time.Time
+		bound := math.Inf(1)
+		for _, m := range c.members {
+			if !c.liveLocked(m) {
+				continue
+			}
+			if m.rowsPerSec <= 0 {
+				if !m.lastShardAt.IsZero() {
+					bound = min(bound, float64(m.lastShardRows)/now.Sub(m.lastShardAt).Seconds())
+				}
+				continue
+			}
+			done := m.lastShardAt.Add(time.Duration(float64(m.lastShardRows) / m.rowsPerSec * float64(time.Second)))
+			if next == nil || done.Before(nextDone) || (done.Equal(nextDone) && m.id < next.id) {
+				next, nextDone = m, done
+			}
 		}
-		return c.clampRows(c.cfg.shardRows())
+		if next == nil {
+			return c.clampRows(c.cfg.shardRows())
+		}
+		return c.clampRows(int(min(next.rowsPerSec, bound) * c.cfg.targetShardLatency().Seconds()))
 	}
 	if best.rowsPerSec > 0 {
 		return c.clampRows(int(best.rowsPerSec * c.cfg.targetShardLatency().Seconds()))
@@ -372,22 +407,6 @@ func (c *Coordinator) clampRows(rows int) int {
 		return max
 	}
 	return rows
-}
-
-// meanRateLocked averages the observed rows/s over live workers that
-// have one. Callers hold c.mu.
-func (c *Coordinator) meanRateLocked() float64 {
-	sum, n := 0.0, 0
-	for _, m := range c.members {
-		if c.liveLocked(m) && m.rowsPerSec > 0 {
-			sum += m.rowsPerSec
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // meanAdvertisedLocked averages the calibrated hash rates live workers

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,10 +22,9 @@ import (
 // in one 8192-row chunk), and the first 100 keys come back at the end of
 // the stream carrying a neighbour's value (conflicting copies, which the
 // LastWriteWins column must resolve in stream order). Returns the CSV
-// and JSONL forms and the total row count.
-func duplicateKeySuspect(t *testing.T, f *auditFixture) (csvData, jsonlData string, rows int) {
+// and JSONL forms and the tuples themselves.
+func duplicateKeySuspect(t *testing.T, f *auditFixture) (csvData, jsonlData string, tuples []relation.Tuple) {
 	t.Helper()
-	var tuples []relation.Tuple
 	n := f.rel.Len()
 	for i := 0; i < n; i++ {
 		tuples = append(tuples, f.rel.Tuple(i))
@@ -36,35 +38,65 @@ func duplicateKeySuspect(t *testing.T, f *auditFixture) (csvData, jsonlData stri
 		dup[attr] = f.rel.Tuple(i + 1)[attr]
 		tuples = append(tuples, dup)
 	}
+	header := make([]string, f.schema.Arity())
+	for i := range header {
+		header[i] = f.schema.Attr(i).Name
+	}
 	var cb, jb strings.Builder
-	cw, err := relation.NewCSVRowWriter(&cb, f.schema)
-	if err != nil {
+	cw := csv.NewWriter(&cb)
+	enc := json.NewEncoder(&jb)
+	if err := cw.Write(header); err != nil {
 		t.Fatal(err)
 	}
-	jw := relation.NewJSONLRowWriter(&jb, f.schema)
-	for _, w := range []relation.RowWriter{cw, jw} {
-		for _, tup := range tuples {
-			if err := w.Write(tup); err != nil {
-				t.Fatal(err)
-			}
+	for _, tup := range tuples {
+		if err := cw.Write(tup); err != nil {
+			t.Fatal(err)
 		}
-		if err := w.Flush(); err != nil {
+		obj := make(map[string]string, len(header))
+		for j, name := range header {
+			obj[name] = tup[j]
+		}
+		if err := enc.Encode(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cb.String(), jb.String(), len(tuples)
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return cb.String(), jb.String(), tuples
+}
+
+// sliceRows is a RowReader over an in-memory tuple list — unlike a
+// Relation, it may repeat primary keys.
+type sliceRows struct {
+	schema *relation.Schema
+	tuples []relation.Tuple
+}
+
+func (s *sliceRows) Schema() *relation.Schema { return s.schema }
+
+func (s *sliceRows) Read() (relation.Tuple, error) {
+	if len(s.tuples) == 0 {
+		return nil, io.EOF
+	}
+	t := s.tuples[0].Clone()
+	s.tuples = s.tuples[1:]
+	return t, nil
 }
 
 // TestDuplicateKeysScanIdenticallyOnEveryLayout pins "one input, one
 // answer" for suspects with repeated primary keys: every streaming
-// layout — the stdlib row reader and both zero-copy block readers under
-// several worker, chunk and block sizes, and the cluster at shard sizes
-// from one row to a whole chunk — accepts the stream and scores each
-// copy, with tallies identical across all of them.
+// layout — an in-memory row source through the relation.Blocks adapter
+// and both zero-copy block readers under several worker, chunk and block
+// sizes, and the cluster at shard sizes from one row to a whole chunk —
+// accepts the stream and scores each copy, with tallies identical across
+// all of them.
 func TestDuplicateKeysScanIdenticallyOnEveryLayout(t *testing.T) {
 	f := newAuditFixture(t, 500, 2)
 	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
-	csvData, jsonlData, rows := duplicateKeySuspect(t, f)
+	csvData, jsonlData, tuples := duplicateKeySuspect(t, f)
+	rows := len(tuples)
 
 	open := func(kind string) relation.RowReader {
 		t.Helper()
@@ -73,8 +105,8 @@ func TestDuplicateKeysScanIdenticallyOnEveryLayout(t *testing.T) {
 			err error
 		)
 		switch kind {
-		case "csv-rows":
-			src, err = relation.NewCSVRowReader(strings.NewReader(csvData), f.schema)
+		case "rows":
+			src = &sliceRows{schema: f.schema, tuples: tuples}
 		case "csv-blocks":
 			src, err = relation.NewCSVBlockReader(strings.NewReader(csvData), f.schema)
 		case "jsonl-blocks":
@@ -106,7 +138,7 @@ func TestDuplicateKeysScanIdenticallyOnEveryLayout(t *testing.T) {
 		}
 	}
 
-	for _, kind := range []string{"csv-rows", "csv-blocks", "jsonl-blocks"} {
+	for _, kind := range []string{"rows", "csv-blocks", "jsonl-blocks"} {
 		for _, cfg := range []pipeline.Config{
 			{Workers: 1},
 			{Workers: 2, ChunkRows: 8192},

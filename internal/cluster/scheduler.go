@@ -428,6 +428,7 @@ func (s *scan) runShard(task *shardTask, m *member) {
 	s.c.log.Debug("cluster: shard dispatched",
 		"request_id", obs.RequestID(s.ctx), "shard", task.idx, "rows", task.rows,
 		"worker", m.id, "attempt", task.attempts+1)
+	s.c.shardStarted(m, task.rows)
 	start := time.Now()
 	tallies, err := s.callWorker(sctx, task, m)
 	elapsed := time.Since(start)

@@ -81,7 +81,7 @@ func TestVerifyBatchMatchesIndividualVerify(t *testing.T) {
 		assertBatchEqual(t, got, want)
 
 		// CSV stream — the server's ingestion path.
-		src, err := relation.NewCSVRowReader(strings.NewReader(csvData.String()), suspect.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csvData.String()), suspect.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestVerifyBatchBlockKnobsEquivalence(t *testing.T) {
 	}
 	scan := func(opts BatchOptions) []BatchReport {
 		t.Helper()
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv.String()), suspect.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv.String()), suspect.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,11 +76,6 @@ const (
 	// implementation underutilizing the execution ports. amd64 with
 	// SHA-NI only; NewKernel reports an error elsewhere.
 	KernelMultiBuffer KernelKind = "multibuffer"
-	// KernelMultiBuffer4 runs four independent SHA-256 streams per
-	// assembly call — two interleaved 2-lane schedule chains feeding one
-	// 4-deep interleaved round loop — hiding the SHA256RNDS2 latency
-	// chain deeper than the 2-lane kernel can. amd64 with SHA-NI only.
-	KernelMultiBuffer4 KernelKind = "multibuffer4"
 	// KernelAVX2 is the 8-lane multi-buffer SHA-256 kernel: a transposed
 	// message schedule evaluated with plain AVX2 integer SIMD, one YMM
 	// word per round across eight independent messages. No SHA-NI

@@ -19,12 +19,11 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv(index uint32) (eax, edx uint32)
 
 // init appends the amd64 backends to the registry in increasing lane
-// order: 2-lane SHA-NI, 4-lane SHA-NI, 8-lane AVX2. One init keeps the
-// registry order deterministic regardless of file compilation order.
+// order: 2-lane SHA-NI, 8-lane AVX2. One init keeps the registry order
+// deterministic regardless of file compilation order.
 func init() {
 	registry = append(registry,
 		multiBufferDef(),
-		multiBuffer4Def(),
 		avx2Def(),
 	)
 }

@@ -287,8 +287,8 @@ func TestKernelKindsRoundTrip(t *testing.T) {
 			t.Fatalf("kind %q: %v", kind, err)
 		}
 	}
-	got := fmt.Sprintf("%s/%s/%s/%s", KernelPortable, KernelMultiBuffer, KernelMultiBuffer4, KernelAVX2)
-	if got != "portable/multibuffer/multibuffer4/avx2" {
+	got := fmt.Sprintf("%s/%s/%s", KernelPortable, KernelMultiBuffer, KernelAVX2)
+	if got != "portable/multibuffer/avx2" {
 		t.Fatalf("kernel kind spellings changed: %s", got)
 	}
 }

@@ -97,8 +97,7 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "Read",
-			"RowReader", "CSVRowReader", "JSONLRowReader",
-			"CSVBlockReader", "JSONLBlockReader") {
+			"RowReader", "CSVBlockReader", "JSONLBlockReader") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",

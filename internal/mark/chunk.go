@@ -83,38 +83,6 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
 }
 
-// NewStreamEmbedder prepares an embedding pass for data arriving as a row
-// stream, where no full relation exists to derive parameters from. It
-// therefore requires opts.Domain (the value catalog) and
-// opts.BandwidthOverride (the embedding-time |wm_data|) to be set
-// explicitly.
-func NewStreamEmbedder(schema *relation.Schema, wm ecc.Bits, opts Options) (*Embedder, error) {
-	keyCol, attrCol, dom, err := opts.resolveSchema(schema, true)
-	if err != nil {
-		return nil, err
-	}
-	if len(wm) == 0 {
-		return nil, errors.New("mark: empty watermark")
-	}
-	if opts.BandwidthOverride <= 0 {
-		return nil, errors.New("mark: streaming embed requires BandwidthOverride (stream length is unknown)")
-	}
-	bw := opts.BandwidthOverride
-	if bw < len(wm) {
-		return nil, fmt.Errorf("%w: |wm|=%d, bandwidth=%d",
-			ErrInsufficientBandwidth, len(wm), bw)
-	}
-	wmData, err := opts.code().Encode(wm, bw)
-	if err != nil {
-		return nil, err
-	}
-	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
-}
-
-// Bandwidth returns the fixed |wm_data| of this pass — the value a
-// detector must be given after data-loss attacks.
-func (e *Embedder) Bandwidth() int { return e.bw }
-
 // ChunkStats is the partial result of embedding one row range: the usual
 // statistics plus the set of wm_data positions the range touched, which
 // MergeChunks needs to count distinct positions across ranges.
@@ -217,9 +185,9 @@ func NewScanner(r *relation.Relation, wmLen int, opts Options) (*Scanner, error)
 }
 
 // NewStreamScanner prepares a detection pass for data arriving as a row
-// stream. Like NewStreamEmbedder it requires opts.Domain and
-// opts.BandwidthOverride, because neither the value catalog nor the
-// stream length can be derived up front.
+// stream. It requires opts.Domain and opts.BandwidthOverride, because
+// neither the value catalog nor the stream length can be derived up
+// front.
 func NewStreamScanner(schema *relation.Schema, wmLen int, opts Options) (*Scanner, error) {
 	keyCol, attrCol, dom, err := opts.resolveSchema(schema, true)
 	if err != nil {

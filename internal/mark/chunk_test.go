@@ -128,63 +128,21 @@ func TestEmbedRangeBounds(t *testing.T) {
 	}
 }
 
-func TestStreamEmbedderRequiresExplicitParams(t *testing.T) {
+func TestStreamScannerRequiresExplicitParams(t *testing.T) {
 	_, dom := testData(t, 100)
 	schema := relation.MustSchema([]relation.Attribute{
 		{Name: "Visit_Nbr", Type: relation.TypeInt},
 		{Name: "Item_Nbr", Type: relation.TypeInt, Categorical: true},
 	}, "Visit_Nbr")
-	wm := ecc.MustParseBits("101")
 
 	noDomain := testOptions(nil)
 	noDomain.BandwidthOverride = 64
-	if _, err := NewStreamEmbedder(schema, wm, noDomain); err == nil || !strings.Contains(err.Error(), "Domain") {
-		t.Fatalf("expected explicit-domain error, got %v", err)
-	}
 	if _, err := NewStreamScanner(schema, 3, noDomain); err == nil || !strings.Contains(err.Error(), "Domain") {
 		t.Fatalf("expected explicit-domain error, got %v", err)
 	}
 
 	noBW := testOptions(dom)
-	if _, err := NewStreamEmbedder(schema, wm, noBW); err == nil || !strings.Contains(err.Error(), "BandwidthOverride") {
-		t.Fatalf("expected bandwidth error, got %v", err)
-	}
 	if _, err := NewStreamScanner(schema, 3, noBW); err == nil || !strings.Contains(err.Error(), "BandwidthOverride") {
 		t.Fatalf("expected bandwidth error, got %v", err)
-	}
-}
-
-func TestStreamEmbedderMatchesMaterialized(t *testing.T) {
-	matRel, dom := testData(t, 4000)
-	opts := testOptions(dom)
-	wm := ecc.MustParseBits("1011001110")
-
-	streamRel := matRel.Clone()
-	st, err := Embed(matRel, wm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream pass: same bandwidth and domain pinned explicitly, rows fed
-	// through chunk-sized mini relations.
-	sOpts := opts
-	sOpts.BandwidthOverride = st.Bandwidth
-	em, err := NewStreamEmbedder(streamRel.Schema(), wm, sOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []ChunkStats
-	for _, b := range chunkBoundaries(streamRel.Len(), 4) {
-		cs, err := em.EmbedRange(streamRel, b[0], b[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, cs)
-	}
-	if !matRel.Equal(streamRel) {
-		t.Fatal("stream embedder rewrote different tuples than the materialized pass")
-	}
-	if merged := MergeChunks(parts...); merged != st {
-		t.Fatalf("stats diverge:\nmaterialized: %+v\nstream:       %+v", st, merged)
 	}
 }

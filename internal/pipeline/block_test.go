@@ -68,11 +68,11 @@ func TestDetectBlockRowsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+			src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := DetectReader(context.Background(), src, len(wm), opts, cfg)
+			stream, err := scanReport(t, src, len(wm), opts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestDetectBlockRowsEquivalence(t *testing.T) {
 				t.Fatalf("agg %v blockRows %d: Detect diverged from mark.Detect", agg, blockRows)
 			}
 			if !reflect.DeepEqual(stream, want) {
-				t.Fatalf("agg %v blockRows %d: DetectReader diverged from mark.Detect", agg, blockRows)
+				t.Fatalf("agg %v blockRows %d: streaming scan diverged from mark.Detect", agg, blockRows)
 			}
 			if got.WM.String() != wm.String() {
 				t.Fatalf("agg %v blockRows %d: lost the watermark: %s", agg, blockRows, got.WM)
@@ -90,8 +90,7 @@ func TestDetectBlockRowsEquivalence(t *testing.T) {
 }
 
 // TestEmbedBlockRowsEquivalence proves embedding emits identical
-// relations and statistics across block sizes on both the materialized
-// and streaming paths.
+// relations and statistics across block sizes.
 func TestEmbedBlockRowsEquivalence(t *testing.T) {
 	schema := relation.MustSchema([]relation.Attribute{
 		{Name: "id", Type: relation.TypeString},
@@ -111,14 +110,9 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		Attr: "cat", K1: keyhash.NewKey("pe-k1"), K2: keyhash.NewKey("pe-k2"),
 		E: 4, Domain: dom, BandwidthOverride: 900,
 	}
-	var csv strings.Builder
-	if err := relation.WriteCSV(&csv, base); err != nil {
-		t.Fatal(err)
-	}
 
 	var wantRel *relation.Relation
 	var wantStats mark.EmbedStats
-	var wantCSV string
 	for i, blockRows := range []int{0, 1, 7, 512, 1 << 20} {
 		cfg := Config{Workers: 4, ChunkRows: 600, BlockRows: blockRows}
 		r := base.Clone()
@@ -126,21 +120,8 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv.String()), base.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var streamedOut strings.Builder
-		dst, err := relation.NewCSVRowWriter(&streamedOut, base.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamStats, err := EmbedReader(context.Background(), src, dst, wm, opts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if i == 0 {
-			wantRel, wantStats, wantCSV = r, st, streamedOut.String()
+			wantRel, wantStats = r, st
 			continue
 		}
 		if !r.Equal(wantRel) {
@@ -148,12 +129,6 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		}
 		if st != wantStats {
 			t.Fatalf("blockRows %d: stats diverged: %+v vs %+v", blockRows, st, wantStats)
-		}
-		if streamedOut.String() != wantCSV {
-			t.Fatalf("blockRows %d: streamed embedding diverged", blockRows)
-		}
-		if streamStats != wantStats {
-			t.Fatalf("blockRows %d: streamed stats diverged: %+v vs %+v", blockRows, streamStats, wantStats)
 		}
 	}
 }
@@ -186,7 +161,7 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 	}
 
 	scan := func(scs []*mark.Scanner, cfg Config) []*mark.Tally {
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +206,7 @@ func TestProgressCountsTuples(t *testing.T) {
 		}
 
 		n.Store(0)
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,8 +186,7 @@ func TestScanManyBlocksAllocsPerRow(t *testing.T) {
 }
 
 // BenchmarkScanManyIngestion measures the end-to-end streaming scan —
-// bytes in, tallies out — over the stdlib-backed row readers (adapted
-// through relation.Blocks) vs the zero-copy block readers, for both
+// bytes in, tallies out — over the zero-copy block readers, for both
 // wire formats.
 func BenchmarkScanManyIngestion(b *testing.B) {
 	r, dom := testData(b, 50000)
@@ -200,13 +199,6 @@ func BenchmarkScanManyIngestion(b *testing.B) {
 	}
 	scanners := blockStreamScanners(b, r, dom, mark.MajorityVote)
 	mk := map[string]func(b *testing.B, data string) relation.RowReader{
-		"csv/rows": func(b *testing.B, data string) relation.RowReader {
-			rr, err := relation.NewCSVRowReader(strings.NewReader(data), r.Schema())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rr
-		},
 		"csv/blocks": func(b *testing.B, data string) relation.RowReader {
 			br, err := relation.NewCSVBlockReader(strings.NewReader(data), r.Schema())
 			if err != nil {
@@ -214,14 +206,11 @@ func BenchmarkScanManyIngestion(b *testing.B) {
 			}
 			return br
 		},
-		"jsonl/rows": func(b *testing.B, data string) relation.RowReader {
-			return relation.NewJSONLRowReader(strings.NewReader(data), r.Schema())
-		},
 		"jsonl/blocks": func(b *testing.B, data string) relation.RowReader {
 			return relation.NewJSONLBlockReader(strings.NewReader(data), r.Schema())
 		},
 	}
-	for _, name := range []string{"csv/rows", "csv/blocks", "jsonl/rows", "jsonl/blocks"} {
+	for _, name := range []string{"csv/blocks", "jsonl/blocks"} {
 		data := csvData.String()
 		if strings.HasPrefix(name, "jsonl") {
 			data = jsonlData.String()

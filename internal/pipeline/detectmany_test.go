@@ -48,9 +48,10 @@ func detectManyData(t *testing.T, agg mark.VoteAggregation) (*relation.Relation,
 }
 
 // TestDetectManyMatchesIndividualScans is the one-scan equivalence proof:
-// fanning N prepared scanners over a single stream pass yields, for every
-// scanner, exactly the report a dedicated sequential mark.Detect (and a
-// dedicated DetectReader pass) would produce — for both vote-aggregation
+// fanning N prepared scanners over a single stream pass (ScanMany) and
+// aggregating each tally (Scanner.Report) yields, for every scanner,
+// exactly the report a dedicated sequential mark.Detect (and a dedicated
+// single-scanner stream pass) would produce — for both vote-aggregation
 // policies, and regardless of chunk boundaries.
 func TestDetectManyMatchesIndividualScans(t *testing.T) {
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
@@ -66,37 +67,38 @@ func TestDetectManyMatchesIndividualScans(t *testing.T) {
 				scanners[i] = sc
 			}
 			cfg := Config{Workers: 4, ChunkRows: 700} // uneven tail on purpose
-			outs, err := DetectMany(context.Background(), relation.Rows(r), scanners, cfg)
+			tallies, err := ScanMany(context.Background(), relation.Rows(r), scanners, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(outs) != len(optsSet) {
-				t.Fatalf("got %d outcomes, want %d", len(outs), len(optsSet))
+			if len(tallies) != len(optsSet) {
+				t.Fatalf("got %d tallies, want %d", len(tallies), len(optsSet))
 			}
 
+			reports := make([]mark.DetectReport, len(scanners))
 			for i, opts := range optsSet {
 				want, err := mark.Detect(r, len(wm), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if outs[i].Err != nil {
-					t.Fatalf("scanner %d: %v", i, outs[i].Err)
+				if reports[i], err = scanners[i].Report(tallies[i]); err != nil {
+					t.Fatalf("scanner %d: %v", i, err)
 				}
-				if !reflect.DeepEqual(outs[i].Report, want) {
-					t.Errorf("scanner %d: DetectMany report diverged:\n got %+v\nwant %+v",
-						i, outs[i].Report, want)
+				if !reflect.DeepEqual(reports[i], want) {
+					t.Errorf("scanner %d: fan-out report diverged:\n got %+v\nwant %+v",
+						i, reports[i], want)
 				}
-				solo, err := DetectReader(context.Background(), relation.Rows(r), len(wm), opts, cfg)
+				solo, err := scanReport(t, relation.Rows(r), len(wm), opts, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(solo, want) {
-					t.Errorf("scanner %d: DetectReader diverged from mark.Detect", i)
+					t.Errorf("scanner %d: single-scanner stream pass diverged from mark.Detect", i)
 				}
 			}
 			// The marked certificates recover their watermark perfectly.
 			for i := 0; i < 2; i++ {
-				if got := outs[i].Report.WM.String(); got != wm.String() {
+				if got := reports[i].WM.String(); got != wm.String() {
 					t.Errorf("marked certificate %d recovered %s, want %s", i, got, wm)
 				}
 			}
@@ -138,7 +140,7 @@ func TestScanManyPropagatesReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := csvData.String() + "not,a,valid,row,at,all\n"
-	src, err := relation.NewCSVRowReader(strings.NewReader(broken), r.Schema())
+	src, err := relation.NewCSVBlockReader(strings.NewReader(broken), r.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

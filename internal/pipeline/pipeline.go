@@ -4,9 +4,10 @@
 // contiguous key-ranges that workers process independently on
 // runtime.NumCPU() goroutines; per-chunk results merge into exactly what
 // the sequential pass would produce (bit-identical recovered watermarks —
-// see the equivalence tests). stream.go adds the same machinery over
-// relation.RowReader streams so datasets never need to be fully
-// materialized.
+// see the equivalence tests). stream.go runs detection (ScanMany) over
+// relation.RowReader streams, so a suspect dataset never needs to be
+// fully materialized; embedding always runs over a materialized
+// relation.
 //
 // Every path feeds fixed-size tuple blocks (Config.BlockRows) through
 // the batched keyed-hash kernels rather than looping tuple-at-a-time:
@@ -26,14 +27,13 @@
 // async-job cancellation (internal/jobs) or a server shutdown actually
 // halts scan work mid-pass instead of burning CPU to the end of the
 // dataset. Cancellation is chunk-granular: a worker finishes the chunk in
-// its hands, then exits; the streaming readers additionally check between
-// blocks (detection) or rows (embedding), so a cancelled streaming pass
-// stops without draining its source.
+// its hands, then exits; the streaming reader additionally checks between
+// blocks, so a cancelled streaming pass stops without draining its
+// source.
 package pipeline
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -69,9 +69,8 @@ type Config struct {
 	// Phases, when non-nil, accumulates per-phase CPU time
 	// (ingest/hash/vote/merge) for the columnar streaming engine —
 	// coarse block-boundary clocks summed across workers, read by trace
-	// spans. Only ScanMany (and DetectMany/DetectReader over it) meters
-	// itself; leave nil on unsampled passes so the zero-allocation path
-	// never reads a clock.
+	// spans. Only ScanMany meters itself; leave nil on unsampled passes
+	// so the zero-allocation path never reads a clock.
 	Phases *trace.Phases
 }
 
@@ -338,13 +337,4 @@ func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 func attrIsPrimaryKey(r *relation.Relation, attr string) bool {
 	i, ok := r.Schema().Index(attr)
 	return ok && i == r.Schema().KeyIndex()
-}
-
-// validateChunkable rejects option combinations the chunked paths cannot
-// honor; shared by the streaming entry points.
-func validateChunkable(opts mark.Options, verb string) error {
-	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil {
-		return fmt.Errorf("pipeline: streaming %s cannot honor Assessor/SkipRow/OnAlter (order-dependent hooks)", verb)
-	}
-	return nil
 }

@@ -183,48 +183,24 @@ func TestEmbedPrimaryKeyAttrFallsBackSequential(t *testing.T) {
 	}
 }
 
-func TestEmbedReaderMatchesMaterialized(t *testing.T) {
-	wm := ecc.MustParseBits("1011001110")
-	matRel, dom := testData(t, 12000)
-	opts := testOptions(dom)
-
-	// Render the pristine relation to CSV, then stream-embed it.
-	var in strings.Builder
-	if err := relation.WriteCSV(&in, matRel); err != nil {
-		t.Fatal(err)
-	}
-	matStats, err := mark.Embed(matRel, wm, opts)
+// scanReport is single-certificate streaming detection: one stream
+// scanner over src through ScanMany, its tally aggregated by
+// Scanner.Report.
+func scanReport(t *testing.T, src relation.RowReader, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, error) {
+	t.Helper()
+	sc, err := mark.NewStreamScanner(src.Schema(), wmLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sOpts := opts
-	sOpts.BandwidthOverride = matStats.Bandwidth
-	src, err := relation.NewCSVRowReader(strings.NewReader(in.String()), matRel.Schema())
+	tallies, err := ScanMany(context.Background(), src, []*mark.Scanner{sc}, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return mark.DetectReport{}, err
 	}
-	var out strings.Builder
-	dst, err := relation.NewCSVRowWriter(&out, matRel.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamStats, err := EmbedReader(context.Background(), src, dst, wm, sOpts, Config{Workers: 4, ChunkRows: 777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamStats != matStats {
-		t.Fatalf("stats diverge:\nmat:    %+v\nstream: %+v", matStats, streamStats)
-	}
-	got, err := relation.ReadCSV(strings.NewReader(out.String()), matRel.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matRel.Equal(got) {
-		t.Fatal("streamed embed emitted different rows than the materialized pass")
-	}
+	return sc.Report(tallies[0])
 }
 
+// TestDetectReaderMatchesMaterialized: detection fed from a JSONL reader
+// reports exactly what mark.Detect reports over the same relation.
 func TestDetectReaderMatchesMaterialized(t *testing.T) {
 	wm := ecc.MustParseBits("1011001110")
 	r, dom := testData(t, 12000)
@@ -244,8 +220,8 @@ func TestDetectReaderMatchesMaterialized(t *testing.T) {
 	}
 	sOpts := opts
 	sOpts.BandwidthOverride = st.Bandwidth
-	src := relation.NewJSONLRowReader(strings.NewReader(in.String()), r.Schema())
-	rep, err := DetectReader(context.Background(), src, len(wm), sOpts, Config{Workers: 4, ChunkRows: 997})
+	src := relation.NewJSONLBlockReader(strings.NewReader(in.String()), r.Schema())
+	rep, err := scanReport(t, src, len(wm), sOpts, Config{Workers: 4, ChunkRows: 997})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,35 +241,12 @@ func TestStreamPropagatesReadErrors(t *testing.T) {
 
 	// Truncated quoted field: the reader fails mid-stream.
 	in := "Visit_Nbr,Item_Nbr\n1,10\n\"2,11\n"
-	src, err := relation.NewCSVRowReader(strings.NewReader(in), schema)
+	src, err := relation.NewCSVBlockReader(strings.NewReader(in), schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectReader(context.Background(), src, 3, opts, Config{Workers: 2, ChunkRows: 1}); err == nil {
+	if _, err := scanReport(t, src, 3, opts, Config{Workers: 2, ChunkRows: 1}); err == nil {
 		t.Fatal("malformed stream accepted")
-	}
-}
-
-func TestStreamRejectsOrderDependentHooks(t *testing.T) {
-	_, dom := testData(t, 100)
-	opts := testOptions(dom)
-	opts.BandwidthOverride = 64
-	opts.SkipRow = func(int) bool { return false }
-	schema := datagen.ItemScanSchema()
-	src, err := relation.NewCSVRowReader(strings.NewReader("Visit_Nbr,Item_Nbr\n1,10\n"), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DetectReader(context.Background(), src, 3, opts, Config{}); err == nil {
-		t.Fatal("order-dependent hook accepted by streaming path")
-	}
-	var out strings.Builder
-	dst, err := relation.NewCSVRowWriter(&out, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EmbedReader(context.Background(), src, dst, ecc.MustParseBits("101"), opts, Config{}); err == nil {
-		t.Fatal("order-dependent hook accepted by streaming embed")
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-// The zero-copy block readers must be bit-identical to the legacy
-// stdlib-backed row readers — the legacy readers are the oracle. Every
-// comparison here demands: identical rows up to the first error, and
-// agreement on whether an error occurs (messages may differ).
+// The zero-copy block readers must be bit-identical to the stdlib-backed
+// row readers of rowio_test.go — those are the oracle. Every comparison
+// here demands: identical rows up to the first error, and agreement on
+// whether an error occurs (messages may differ). ReadCSV/ReadJSONL, which
+// materialize through the block readers, must likewise agree with ReadAll
+// over the oracle.
 
 func drainRows(rr RowReader) ([][]string, error) {
 	var rows [][]string
@@ -101,6 +103,31 @@ func compareJSONLWithOracle(t *testing.T, in string, blockRows int) {
 	}
 }
 
+// compareReadWithOracle checks a materializing codec's result against
+// ReadAll over the oracle reader (or the oracle's header error): both
+// fail, or both yield the same relation.
+func compareReadWithOracle(t *testing.T, in string, got *Relation, gotErr error, oracle RowReader, oracleErr error) {
+	t.Helper()
+	var want *Relation
+	wantErr := oracleErr
+	if wantErr == nil {
+		want, wantErr = ReadAll(oracle)
+	}
+	if (wantErr != nil) != (gotErr != nil) {
+		t.Fatalf("materialize error disagreement on %q: oracle %v, read %v", in, wantErr, gotErr)
+	}
+	if wantErr == nil && !want.Equal(got) {
+		t.Fatalf("materialize disagreement on %q:\noracle: %v\nread:   %v", in, want, got)
+	}
+}
+
+// Duplicate primary keys: the streams yield both rows, and every
+// materializing read must reject them.
+const (
+	csvDupKeyInput   = "Visit_Nbr,Item_Nbr\n1,10\n1,11\n"
+	jsonlDupKeyInput = "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"10\"}\n{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"11\"}\n"
+)
+
 var csvOracleCases = []string{
 	"Visit_Nbr,Item_Nbr\n1,10\n2,11\n",
 	"Item_Nbr,Visit_Nbr\n10,1\n11,2\n", // reordered columns
@@ -124,6 +151,7 @@ var csvOracleCases = []string{
 	"Visit_Nbr,Item_Nbr\n1,a\"b\n",         // bare quote
 	"Visit_Nbr,Item_Nbr\n1,10\n2\n3,12\n",  // error mid-stream after good rows
 	"Visit_Nbr,Item_Nbr\n1,\"a\n\n\nb\"\n", // blank lines inside quotes
+	csvDupKeyInput,
 	"Visit_Nbr,Item_Nbr",
 	"Visit_Nbr,Item_Nbr\n",
 	"",
@@ -169,10 +197,17 @@ func TestBlocksAdapter(t *testing.T) {
 }
 
 func TestCSVBlockReaderMatchesLegacy(t *testing.T) {
+	schema := rowioSchema(t)
 	for _, in := range csvOracleCases {
 		for _, blockRows := range []int{1, 2, 512} {
 			compareCSVWithOracle(t, in, blockRows)
 		}
+		rr, rerr := NewCSVRowReader(strings.NewReader(in), schema)
+		got, err := ReadCSV(strings.NewReader(in), schema)
+		compareReadWithOracle(t, in, got, err, rr, rerr)
+	}
+	if _, err := ReadCSV(strings.NewReader(csvDupKeyInput), schema); err == nil {
+		t.Fatal("ReadCSV accepted a duplicate primary key")
 	}
 }
 
@@ -204,15 +239,22 @@ var jsonlOracleCases = []string{
 	"{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"2\"",         // truncated
 	"{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"2\"}garbage", // good row then garbage
 	"{\"Visit_Nbr\":\"a\tb\",\"Item_Nbr\":\"x\"}\n",   // raw control char
+	jsonlDupKeyInput,
 	"",
 	"   \n\t ",
 }
 
 func TestJSONLBlockReaderMatchesLegacy(t *testing.T) {
+	schema := rowioSchema(t)
 	for _, in := range jsonlOracleCases {
 		for _, blockRows := range []int{1, 2, 512} {
 			compareJSONLWithOracle(t, in, blockRows)
 		}
+		got, err := ReadJSONL(strings.NewReader(in), schema)
+		compareReadWithOracle(t, in, got, err, NewJSONLRowReader(strings.NewReader(in), schema), nil)
+	}
+	if _, err := ReadJSONL(strings.NewReader(jsonlDupKeyInput), schema); err == nil {
+		t.Fatal("ReadJSONL accepted a duplicate primary key")
 	}
 }
 
@@ -435,8 +477,8 @@ func TestBlockReadAllocsJSONL(t *testing.T) {
 	}
 }
 
-// BenchmarkRowReader compares the stdlib-backed row readers against the
-// zero-copy block readers over identical inputs.
+// BenchmarkRowReader compares the stdlib-backed oracle readers against
+// the zero-copy block readers over identical inputs.
 func BenchmarkRowReader(b *testing.B) {
 	schema := rowioSchema(b)
 	const rows = 4096

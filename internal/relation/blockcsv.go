@@ -10,17 +10,16 @@ import (
 // CSVBlockReader is the zero-copy CSV ingestion path: a bufio-backed
 // parser that slices fields straight out of the read buffer into a
 // Block's column arenas, allocating nothing per row once the block pool
-// is warm. Parsing semantics are bit-identical to encoding/csv with the
-// exact configuration the legacy CSVRowReader uses (comma separator,
-// strict quotes, no comment lines, FieldsPerRecord pinned to the schema
-// arity): \r\n normalization, blank-line skipping, quoted fields
-// spanning lines, "" escapes, bare/stray-quote errors — the fuzz tests
-// drive both parsers over the same inputs and demand identical row
-// streams. The legacy reader stays as that oracle.
+// is warm. It is the only CSV parser: ReadCSV materializes through it.
+// Parsing semantics are bit-identical to encoding/csv configured with a
+// comma separator, strict quotes, no comment lines and FieldsPerRecord
+// pinned to the schema arity: \r\n normalization, blank-line skipping,
+// quoted fields spanning lines, "" escapes, bare/stray-quote errors —
+// the fuzz tests drive it and a stdlib-backed oracle reader (kept in
+// rowio_test.go) over the same inputs and demand identical row streams.
 //
 // The header row is consumed by NewCSVBlockReader; file column order
-// may differ from schema order and is mapped by name, exactly as in
-// NewCSVRowReader.
+// may differ from schema order and is mapped by name.
 //
 // CSVBlockReader implements both BlockReader (the zero-allocation
 // path) and RowReader (a compatibility view that materializes tuples
@@ -136,7 +135,7 @@ func (r *CSVBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 
 // Read returns the next tuple or io.EOF — the RowReader compatibility
 // view, materializing tuples from an internal block. Rows parsed before
-// a mid-block error are yielded first, exactly like the legacy reader.
+// a mid-block error are yielded first, exactly like the stdlib oracle.
 func (r *CSVBlockReader) Read() (Tuple, error) {
 	if r.rowBlk == nil {
 		r.rowBlk = NewBlock(r.schema)

@@ -10,15 +10,17 @@ import (
 
 // JSONLBlockReader is the zero-copy JSONL ingestion path: a windowed
 // scanner over the input stream that decodes one flat JSON object per
-// record straight into a Block's column arenas. Decoding semantics are
-// bit-identical to the legacy JSONLRowReader's json.Decoder into
-// map[string]string — the fuzz tests drive both over the same inputs
-// and demand identical row streams: whitespace (including newlines)
-// between records and tokens, duplicate keys resolved last-wins with
-// the field count taken over distinct keys, null accepted as the empty
-// string, every escape form (\uXXXX incl. surrogate pairs, with
-// unpaired surrogates and invalid UTF-8 replaced by U+FFFD without
-// error), and control characters inside strings rejected.
+// record straight into a Block's column arenas. It is the only JSONL
+// parser: ReadJSONL materializes through it. Decoding semantics are
+// bit-identical to a json.Decoder into map[string]string — the fuzz
+// tests drive it and that stdlib oracle (kept in rowio_test.go) over
+// the same inputs and demand identical row streams: whitespace
+// (including newlines) between records and tokens, duplicate keys
+// resolved last-wins with the field count taken over distinct keys,
+// null accepted as the empty string, every escape form (\uXXXX incl.
+// surrogate pairs, with unpaired surrogates and invalid UTF-8 replaced
+// by U+FFFD without error), and control characters inside strings
+// rejected.
 //
 // JSONLBlockReader implements BlockReader, RawShardSource, and a
 // RowReader compatibility view; do not interleave Read and ReadBlock

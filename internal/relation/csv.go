@@ -108,13 +108,14 @@ func WriteCSV(w io.Writer, r *Relation) error {
 
 // ReadCSV reads a relation under the given schema. The CSV header must
 // name exactly the schema's attributes; column order in the file may
-// differ from schema order and is mapped by name. It is the materializing
-// loop over CSVRowReader (rowio.go); use the row reader directly to
-// stream without holding the whole relation.
+// differ from schema order and is mapped by name. It is ReadAll over
+// CSVBlockReader, so materialized and streamed input parse identically;
+// use the block reader directly to stream without holding the whole
+// relation.
 func ReadCSV(rd io.Reader, schema *Schema) (*Relation, error) {
-	rr, err := NewCSVRowReader(rd, schema)
+	br, err := NewCSVBlockReader(rd, schema)
 	if err != nil {
 		return nil, err
 	}
-	return ReadAll(rr)
+	return ReadAll(br)
 }

@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -32,58 +35,45 @@ func rowioRelation(t testing.TB) *Relation {
 func TestCSVRowRoundTrip(t *testing.T) {
 	r := rowioRelation(t)
 	var b strings.Builder
-	w, err := NewCSVRowWriter(&b, r.Schema())
-	if err != nil {
+	if err := WriteCSV(&b, r); err != nil {
 		t.Fatal(err)
 	}
-	src := Rows(r)
-	for {
-		tup, err := src.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Write(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	in := b.String()
 
-	rr, err := NewCSVRowReader(strings.NewReader(b.String()), r.Schema())
+	rr, err := NewCSVRowReader(strings.NewReader(in), r.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(rr)
+	oracle, err := ReadAll(rr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(got) {
-		t.Fatalf("round trip lost data:\nin:  %v\nout: %v", r, got)
+	got, err := ReadCSV(strings.NewReader(in), r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Equal(oracle) || !r.Equal(got) {
+		t.Fatalf("round trip lost data:\nin:     %v\noracle: %v\nout:    %v", r, oracle, got)
 	}
 }
 
 func TestJSONLRowRoundTrip(t *testing.T) {
 	r := rowioRelation(t)
 	var b strings.Builder
-	w := NewJSONLRowWriter(&b, r.Schema())
-	for i := 0; i < r.Len(); i++ {
-		if err := w.Write(r.Tuple(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := WriteJSONL(&b, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewJSONLRowReader(strings.NewReader(b.String()), r.Schema()))
+	in := b.String()
+	oracle, err := ReadAll(NewJSONLRowReader(strings.NewReader(in), r.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(got) {
-		t.Fatalf("round trip lost data:\nin:  %v\nout: %v", r, got)
+	got, err := ReadJSONL(strings.NewReader(in), r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Equal(oracle) || !r.Equal(got) {
+		t.Fatalf("round trip lost data:\nin:     %v\noracle: %v\nout:    %v", r, oracle, got)
 	}
 }
 
@@ -141,11 +131,11 @@ func TestJSONLRowReaderMalformed(t *testing.T) {
 func TestReadAllEnforcesKeyUniqueness(t *testing.T) {
 	schema := rowioSchema(t)
 	in := "Visit_Nbr,Item_Nbr\n1,10\n1,11\n"
-	rr, err := NewCSVRowReader(strings.NewReader(in), schema)
+	br, err := NewCSVBlockReader(strings.NewReader(in), schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadAll(rr); err == nil {
+	if _, err := ReadAll(br); err == nil {
 		t.Fatal("duplicate primary key accepted by ReadAll")
 	}
 }
@@ -209,4 +199,119 @@ func FuzzJSONLRowReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The stdlib-backed row readers below are the differential oracle for the
+// zero-copy block readers (block_test.go): encoding/csv and encoding/json
+// define the accepted formats, and every block-reader comparison and
+// fuzz target demands the same rows and the same failures as these.
+
+// CSVRowReader streams tuples from CSV input. The header row is consumed
+// by NewCSVRowReader; file column order may differ from schema order and
+// is mapped by name, exactly as in ReadCSV.
+type CSVRowReader struct {
+	schema *Schema
+	cr     *csv.Reader
+	colFor []int // file column -> schema position
+	row    int
+}
+
+// NewCSVRowReader reads and validates the CSV header, returning a reader
+// positioned at the first data row.
+func NewCSVRowReader(rd io.Reader, schema *Schema) (*CSVRowReader, error) {
+	cr := csv.NewReader(rd)
+	cr.FieldsPerRecord = schema.Arity()
+	// Read copies the record into a caller-owned Tuple, so the csv.Reader
+	// can safely recycle its field slice between rows.
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
+	}
+	colFor := make([]int, len(header))
+	seen := make(map[string]bool, len(header))
+	for fileCol, name := range header {
+		pos, ok := schema.Index(name)
+		if !ok {
+			return nil, fmt.Errorf("relation: CSV column %q not in schema", name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("relation: duplicate CSV column %q", name)
+		}
+		seen[name] = true
+		colFor[fileCol] = pos
+	}
+	if len(seen) != schema.Arity() {
+		return nil, fmt.Errorf("relation: CSV header has %d of %d schema attributes",
+			len(seen), schema.Arity())
+	}
+	return &CSVRowReader{schema: schema, cr: cr, colFor: colFor, row: 1}, nil
+}
+
+// Schema returns the reader's schema.
+func (r *CSVRowReader) Schema() *Schema { return r.schema }
+
+// Read returns the next tuple or io.EOF.
+func (r *CSVRowReader) Read() (Tuple, error) {
+	rec, err := r.cr.Read()
+	if err == io.EOF {
+		return nil, io.EOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("relation: reading CSV row %d: %w", r.row, err)
+	}
+	t := make(Tuple, r.schema.Arity())
+	for fileCol, v := range rec {
+		t[r.colFor[fileCol]] = v
+	}
+	r.row++
+	return t, nil
+}
+
+// JSONLRowReader streams tuples from JSON-lines input: one object per
+// line keyed by attribute name, with exactly the schema's attributes.
+type JSONLRowReader struct {
+	schema *Schema
+	dec    *json.Decoder
+	obj    map[string]string // reused decode target; cleared before each row
+	row    int
+}
+
+// NewJSONLRowReader returns a reader over JSONL input.
+func NewJSONLRowReader(rd io.Reader, schema *Schema) *JSONLRowReader {
+	return &JSONLRowReader{schema: schema, dec: json.NewDecoder(rd)}
+}
+
+// Schema returns the reader's schema.
+func (r *JSONLRowReader) Schema() *Schema { return r.schema }
+
+// Read returns the next tuple or io.EOF. Extra or missing keys are
+// errors, as silent column loss would corrupt watermark detection.
+func (r *JSONLRowReader) Read() (Tuple, error) {
+	// Reuse one map across rows (a JSON null row nils it out — re-make).
+	if r.obj == nil {
+		r.obj = make(map[string]string, r.schema.Arity())
+	} else {
+		clear(r.obj)
+	}
+	if err := r.dec.Decode(&r.obj); err == io.EOF {
+		return nil, io.EOF
+	} else if err != nil {
+		return nil, fmt.Errorf("relation: reading JSONL row %d: %w", r.row, err)
+	}
+	obj := r.obj
+	if len(obj) != r.schema.Arity() {
+		return nil, fmt.Errorf("relation: JSONL row %d has %d keys, schema has %d",
+			r.row, len(obj), r.schema.Arity())
+	}
+	t := make(Tuple, r.schema.Arity())
+	for name, v := range obj {
+		pos, ok := r.schema.Index(name)
+		if !ok {
+			return nil, fmt.Errorf("relation: JSONL row %d key %q not in schema", r.row, name)
+		}
+		t[pos] = v
+	}
+	r.row++
+	return t, nil
 }
