@@ -277,6 +277,17 @@ func TestCLIErrors(t *testing.T) {
 		"-type", "nuke", "-out", filepath.Join(dir, "o.csv"))
 	// Datagen without -out.
 	runExpectFail(t, bins["wmdatagen"], "-dataset", "itemscan")
+	// -shard-rows takes a non-negative row count only. The unusable
+	// -addr makes a server that wrongly accepted the value exit on its
+	// own (with a listen error, not a -shard-rows one) instead of
+	// serving forever.
+	for _, v := range []string{"auto", "-1"} {
+		out := runExpectFail(t, bins["wmserver"], "-coordinator", "-shard-rows", v,
+			"-addr", "127.0.0.1:-1", "-store", filepath.Join(dir, "store"))
+		if !strings.Contains(out, "-shard-rows") {
+			t.Fatalf("wmserver -shard-rows %s: want a -shard-rows error, got:\n%s", v, out)
+		}
+	}
 }
 
 // TestCLIParallel: the -parallel flag must reproduce the sequential

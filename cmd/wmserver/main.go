@@ -37,7 +37,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/keyhash"
@@ -59,8 +58,7 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL the coordinator reaches this worker at (default derives http://127.0.0.1:<port> from -addr)")
 	workerID := flag.String("worker-id", "", "stable worker identity across restarts (default: the advertise URL)")
 	capacity := flag.Int("capacity", 0, "concurrent shards this worker scans (0 = 1)")
-	shardRows := flag.String("shard-rows", "", "suspect rows per dispatched shard when coordinating: a row count, or \"auto\" to size each shard from the receiving worker's observed throughput (empty/0 = default fixed size)")
-	targetShardLatency := flag.Duration("target-shard-latency", 0, "per-shard wall time -shard-rows auto aims each worker at (0 = default)")
+	shardRows := flag.Int("shard-rows", 0, "suspect rows per dispatched shard when coordinating (0 = default)")
 	kernel := flag.String("kernel", "", "pin the batched keyed-hash backend (see 'wmtool kernels'; empty = auto-select the fastest for this machine)")
 	logLevel := flag.String("log-level", "info", "initial log level: debug, info, warn or error (changeable at runtime via PUT /debug/loglevel)")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof/ profiling endpoints")
@@ -81,12 +79,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	clusterCfg, err := parseShardRows(*shardRows)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wmserver:", err)
+	if *shardRows < 0 {
+		fmt.Fprintf(os.Stderr, "wmserver: invalid -shard-rows %d (want a row count)\n", *shardRows)
 		os.Exit(2)
 	}
-	clusterCfg.TargetShardLatency = *targetShardLatency
 	kind, err := parseKernel(*kernel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wmserver:", err)
@@ -109,7 +105,7 @@ func main() {
 		HashKernel:          kind,
 		Cluster: server.ClusterConfig{
 			Coordinator:  *coordinator,
-			Cluster:      clusterCfg,
+			Cluster:      cluster.Config{ShardRows: *shardRows},
 			JoinURL:      *join,
 			AdvertiseURL: adv,
 			WorkerID:     *workerID,
@@ -120,23 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wmserver:", err)
 		os.Exit(1)
 	}
-}
-
-// parseShardRows maps the -shard-rows value onto cluster.Config: a plain
-// row count keeps the fixed-size scheduler, "auto" switches on
-// throughput-driven shard sizing.
-func parseShardRows(v string) (cluster.Config, error) {
-	switch v {
-	case "", "0":
-		return cluster.Config{}, nil
-	case "auto":
-		return cluster.Config{AutoShardRows: true}, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return cluster.Config{}, fmt.Errorf("invalid -shard-rows %q (want a row count or \"auto\")", v)
-	}
-	return cluster.Config{ShardRows: n}, nil
 }
 
 // parseKernel validates a -kernel value against the registered hash

@@ -44,12 +44,12 @@ type WorkerRegistration struct {
 	// means 1.
 	Capacity int `json:"capacity,omitempty"`
 	// Kernel is the hash backend the worker's scans run on (the
-	// calibrated KernelAuto pick, or a pinned kind). Informational plus
-	// autotuning: the coordinator surfaces it in /healthz.
+	// calibrated KernelAuto pick, or a pinned kind). Informational: the
+	// coordinator surfaces it in /healthz.
 	Kernel string `json:"kernel,omitempty"`
 	// HashesPerSec is the worker's calibrated single-thread keyed-hash
-	// rate (keyhash.Calibrate). The coordinator seeds shard-size
-	// autotuning with it until real per-shard throughput is observed.
+	// rate (keyhash.Calibrate). Informational: the coordinator surfaces
+	// it in /healthz; shard sizes do not depend on it.
 	HashesPerSec float64 `json:"hashes_per_sec,omitempty"`
 }
 
@@ -81,8 +81,8 @@ type WorkerStatus struct {
 	// HashesPerSec is the worker's advertised calibrated hash rate.
 	HashesPerSec float64 `json:"hashes_per_sec,omitempty"`
 	// RowsPerSec is the coordinator's observed per-worker scan
-	// throughput (EWMA over completed shards) — the signal auto shard
-	// sizing uses. Zero until the worker completes a shard.
+	// throughput (EWMA over completed shards). Zero until the worker
+	// completes a shard.
 	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
 }
 

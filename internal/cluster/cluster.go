@@ -64,19 +64,6 @@ const (
 	// DefaultShardTimeout bounds one shard RPC; a worker that accepts a
 	// shard and hangs is treated like an unreachable one.
 	DefaultShardTimeout = 5 * time.Minute
-	// DefaultTargetShardLatency is the per-shard wall time auto shard
-	// sizing aims each worker at: long enough to amortize the RPC and
-	// serialization overhead, short enough that a lost worker costs
-	// little rework and stragglers can't stall the merge for long.
-	DefaultTargetShardLatency = 2 * time.Second
-	// DefaultMinShardRows floors auto-sized shards so a worker whose
-	// observed throughput momentarily collapses (GC pause, noisy
-	// neighbor) isn't handed confetti-sized shards forever.
-	DefaultMinShardRows = 256
-	// DefaultMaxShardRows caps auto-sized shards so a very fast worker
-	// doesn't get handed a shard whose serialized payload dominates
-	// coordinator memory and whose loss costs a huge retry.
-	DefaultMaxShardRows = 1 << 18
 )
 
 // Config tunes a Coordinator.
@@ -100,21 +87,6 @@ type Config struct {
 	// ShardTimeout bounds a single shard RPC; <= 0 means
 	// DefaultShardTimeout.
 	ShardTimeout time.Duration
-	// AutoShardRows switches shard sizing from the fixed ShardRows to
-	// throughput-driven autotuning: the coordinator learns each worker's
-	// rows/s from completed shards (seeded by the calibrated hash rate
-	// the worker advertises at registration) and cuts each next shard so
-	// that the worker it is headed for finishes in ~TargetShardLatency.
-	// Fixed mode is byte-identical to pre-autotuning behavior.
-	AutoShardRows bool
-	// TargetShardLatency is the per-shard wall time autotuning aims for;
-	// <= 0 means DefaultTargetShardLatency. Ignored unless AutoShardRows.
-	TargetShardLatency time.Duration
-	// MinShardRows / MaxShardRows clamp auto-sized shards; <= 0 means
-	// DefaultMinShardRows / DefaultMaxShardRows. Ignored unless
-	// AutoShardRows.
-	MinShardRows int
-	MaxShardRows int
 }
 
 func (c Config) heartbeat() time.Duration {
@@ -157,27 +129,6 @@ func (c Config) shardTimeout() time.Duration {
 		return DefaultShardTimeout
 	}
 	return c.ShardTimeout
-}
-
-func (c Config) targetShardLatency() time.Duration {
-	if c.TargetShardLatency <= 0 {
-		return DefaultTargetShardLatency
-	}
-	return c.TargetShardLatency
-}
-
-func (c Config) minShardRows() int {
-	if c.MinShardRows <= 0 {
-		return DefaultMinShardRows
-	}
-	return c.MinShardRows
-}
-
-func (c Config) maxShardRows() int {
-	if c.MaxShardRows <= 0 {
-		return DefaultMaxShardRows
-	}
-	return c.MaxShardRows
 }
 
 // ErrNoWorkers reports a scan that cannot proceed because no live worker

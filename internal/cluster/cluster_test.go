@@ -98,6 +98,9 @@ type testWorker struct {
 	// delay, when non-nil, sleeps before scanning (for forcing
 	// out-of-order shard completion).
 	delay func(req api.ShardScanRequest)
+	// truncate, when non-nil, rewrites the request before scanning (for
+	// simulating a worker that scans only part of its payload).
+	truncate func(req *api.ShardScanRequest)
 	// maxConcurrent observes the capacity ceiling the coordinator honors.
 	inflight      atomic.Int64
 	maxConcurrent atomic.Int64
@@ -135,6 +138,9 @@ func startTestWorker(t *testing.T) *testWorker {
 		}
 		if w.delay != nil {
 			w.delay(req)
+		}
+		if w.truncate != nil {
+			w.truncate(&req)
 		}
 		resp, err := ExecuteShard(r.Context(), req, core.BatchOptions{})
 		if err != nil {
@@ -410,6 +416,63 @@ func TestScanShardsRetriesOnWorkerError(t *testing.T) {
 			t.Fatal("an HTTP-level error should not cost the worker its lease")
 		}
 	}
+}
+
+// TestScanShardsRejectsShortReplies pins row-count validation: a worker
+// that answers well-formed tallies for only part of its payload must not
+// merge. Its shards retry on a healthy worker (and it keeps its lease,
+// since it answered), or, with no healthy worker, the audit fails once
+// attempts run out — never a silently short report.
+func TestScanShardsRejectsShortReplies(t *testing.T) {
+	f := newAuditFixture(t, 1000, 1)
+	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
+	want := f.localTallies(t, prep)
+	// halve keeps the CSV header plus the first half of the data rows.
+	halve := func(req *api.ShardScanRequest) {
+		lines := strings.SplitAfter(req.Data, "\n")
+		rows := len(lines) - 2 // header line, trailing empty split
+		req.Data = strings.Join(lines[:1+rows/2], "")
+	}
+
+	t.Run("healthy-peer", func(t *testing.T) {
+		c := NewCoordinator(Config{ShardRows: 200})
+		short := startTestWorker(t)
+		short.truncate = halve
+		short.register(c, "short", 1)
+		startTestWorker(t).register(c, "good", 1)
+
+		got, err := c.ScanShards(context.Background(), f.rows(), prep.Scanners(), ScanJob{
+			Records: prep.Records(), Schema: f.spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("short replies merged: rows %d, want %d", got[0].Rows, want[0].Rows)
+		}
+		for _, w := range c.Status().Workers {
+			if w.ID == "short" && !w.Live {
+				t.Fatal("a worker that answers (short) lost its lease as if unreachable")
+			}
+		}
+	})
+
+	t.Run("alone", func(t *testing.T) {
+		c := NewCoordinator(Config{ShardRows: 200})
+		short := startTestWorker(t)
+		short.truncate = halve
+		short.register(c, "short", 1)
+
+		got, err := c.ScanShards(context.Background(), f.rows(), prep.Scanners(), ScanJob{
+			Records: prep.Records(), Schema: f.spec,
+		})
+		if err == nil {
+			t.Fatalf("short replies merged without error: rows %d, want %d", got[0].Rows, want[0].Rows)
+		}
+		if !errors.Is(err, errInvalidShardResponse) {
+			t.Fatalf("err = %v, want an invalid shard response", err)
+		}
+	})
 }
 
 // TestScanShardsProgressAndCapacity checks the aggregate progress ticks
@@ -780,5 +843,30 @@ func TestScanShardsMalformedResponseKeepsLease(t *testing.T) {
 		if w.ID == "skewed" && !w.Live {
 			t.Fatal("a worker that answers (with garbage) lost its lease as if unreachable")
 		}
+	}
+}
+
+// TestWorkerStatusCarriesRates pins the /healthz surface: registration
+// rates and the observed EWMA show up on the worker's status row.
+func TestWorkerStatusCarriesRates(t *testing.T) {
+	c := NewCoordinator(Config{})
+	c.Register(api.WorkerRegistration{
+		ID: "w", URL: "http://w", Kernel: "avx2", HashesPerSec: 7e6,
+	})
+	c.mu.Lock()
+	m := c.members["w"]
+	c.mu.Unlock()
+	c.observeRate(m, 9000, time.Second)
+
+	st := c.Status()
+	if len(st.Workers) != 1 {
+		t.Fatalf("want 1 worker, got %d", len(st.Workers))
+	}
+	w := st.Workers[0]
+	if w.Kernel != "avx2" || w.HashesPerSec != 7e6 || w.RowsPerSec != 9000 {
+		t.Fatalf("status row lost the rates: %+v", w)
+	}
+	if fmt.Sprintf("%.0f", w.RowsPerSec) != "9000" {
+		t.Fatalf("rows/s = %v", w.RowsPerSec)
 	}
 }

@@ -50,7 +50,7 @@ func newCoordinatorMetrics(r *obs.Registry, c *Coordinator) *metrics {
 			}
 		}, "worker")
 	r.Sampled("wm_cluster_worker_rows_per_sec",
-		"Observed scan throughput per worker (EWMA over completed shards) — the signal auto shard sizing uses.", obs.TypeGauge,
+		"Observed scan throughput per worker (EWMA over completed shards).", obs.TypeGauge,
 		func(emit obs.Emit) {
 			for _, w := range c.Status().Workers {
 				if w.RowsPerSec > 0 {

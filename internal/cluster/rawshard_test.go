@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -111,33 +110,25 @@ func TestScanShardsRawSourceMatchesLocalScan(t *testing.T) {
 	}
 }
 
-// TestScanShardsRawSourceResplit drives the raw re-split path end to
-// end on a JSONL source: a worker that fails every shard forces each
-// one to be re-cut into two children, whose payloads must still be
-// verbatim byte ranges and whose merged tallies must match the local
-// scan.
-func TestScanShardsRawSourceResplit(t *testing.T) {
+// TestScanShardsRawSourceRetry drives whole-shard retries on a JSONL
+// source: a worker that fails every shard forces each one it receives to
+// be retried on the healthy worker, with the same verbatim payload
+// bytes, and the merged tallies must match the local scan.
+func TestScanShardsRawSourceRetry(t *testing.T) {
 	f := newAuditFixture(t, 3000, 2)
 	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
 	want := f.localTallies(t, prep)
 	_, jsonlData := rawFixtureData(t, f)
 
-	c := NewCoordinator(Config{
-		AutoShardRows:      true,
-		ShardRows:          500,
-		TargetShardLatency: 50 * time.Millisecond,
-		MinShardRows:       50,
-		MaxShardRows:       1000,
-	})
+	c := NewCoordinator(Config{ShardRows: 500})
 	var mu sync.Mutex
-	failedRows := map[int]int{}
-	servedRows := map[int][]int{}
-	jsonlRows := func(data string) int { return strings.Count(data, "\n") }
+	failed := map[int]string{}
+	served := map[int][]string{}
 
 	bad := startTestWorker(t)
 	bad.failWith = func(req api.ShardScanRequest) error {
 		mu.Lock()
-		failedRows[req.Shard] = jsonlRows(req.Data)
+		failed[req.Shard] = req.Data
 		mu.Unlock()
 		return errors.New("synthetic shard failure")
 	}
@@ -145,7 +136,7 @@ func TestScanShardsRawSourceResplit(t *testing.T) {
 	good := startTestWorker(t)
 	good.delay = func(req api.ShardScanRequest) {
 		mu.Lock()
-		servedRows[req.Shard] = append(servedRows[req.Shard], jsonlRows(req.Data))
+		served[req.Shard] = append(served[req.Shard], req.Data)
 		mu.Unlock()
 	}
 	good.register(c, "good", 1)
@@ -157,66 +148,19 @@ func TestScanShardsRawSourceResplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("re-split raw-source cluster tallies diverged from local scan")
+		t.Fatal("retried raw-source cluster tallies diverged from local scan")
 	}
 	assertReportsEqualBothAggregations(t, f, got, want)
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(failedRows) == 0 {
+	if len(failed) == 0 {
 		t.Fatal("the failing worker never received a shard; the test proved nothing")
 	}
-	for idx, rows := range failedRows {
-		if rows < 2*50 {
-			continue // too small to split; retried whole
-		}
-		halves := servedRows[idx]
-		if len(halves) != 2 {
-			t.Fatalf("shard %d (%d rows) failed once but was served as %v requests, want 2 children",
-				idx, rows, halves)
-		}
-		if halves[0]+halves[1] != rows {
-			t.Fatalf("shard %d children rows %v do not partition the original %d", idx, halves, rows)
-		}
-	}
-}
-
-// TestSplitTaskRawSlices pins the format-aware re-split mechanics: for
-// both formats the two children's payloads are verbatim byte ranges of
-// the parent — concatenating them (dropping the second child's repeated
-// header) reproduces the parent payload exactly.
-func TestSplitTaskRawSlices(t *testing.T) {
-	f := newAuditFixture(t, 101, 1)
-	csvData, jsonlData := rawFixtureData(t, f)
-	for _, tc := range []struct {
-		format, data, header string
-	}{
-		{"csv", csvData, csvData[:strings.IndexByte(csvData, '\n')+1]},
-		{"jsonl", jsonlData, ""},
-	} {
-		s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background(), format: tc.format}
-		task := &shardTask{
-			idx: 7, data: tc.data, rows: 101, attempts: 1,
-			failed: map[string]bool{"w-dead": true},
-		}
-		children, err := s.splitTask(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(children) != 2 || children[0].rows != 50 || children[1].rows != 51 {
-			t.Fatalf("%s: children = %+v, want rows 50 + 51", tc.format, children)
-		}
-		for i, ch := range children {
-			if ch.idx != 7 || ch.sub != i || !ch.child || ch.attempts != 1 || !ch.failed["w-dead"] {
-				t.Fatalf("%s child %d metadata wrong: %+v", tc.format, i, ch)
-			}
-		}
-		second, ok := strings.CutPrefix(children[1].data, tc.header)
-		if !ok {
-			t.Fatalf("%s: second child payload lacks the header", tc.format)
-		}
-		if children[0].data+second != tc.data {
-			t.Fatalf("%s: children are not verbatim byte ranges of the parent", tc.format)
+	for idx, data := range failed {
+		if len(served[idx]) != 1 || served[idx][0] != data {
+			t.Fatalf("shard %d was retried as %d requests, want the failed payload once, verbatim",
+				idx, len(served[idx]))
 		}
 	}
 }

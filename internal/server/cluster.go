@@ -65,9 +65,8 @@ func (s *Server) Join() {
 		opts = append(opts, cluster.WithAgentLogger(s.cfg.Log))
 	}
 	// Advertise the hash backend this worker scans with and its
-	// calibrated rate — the coordinator seeds shard-size autotuning with
-	// them until it has observed real per-shard throughput. A pinned
-	// -kernel advertises the pinned backend's measured rate.
+	// calibrated rate, which the coordinator reports in /healthz. A
+	// pinned -kernel advertises the pinned backend's measured rate.
 	cal := keyhash.Calibrate()
 	kind := s.cfg.HashKernel
 	if kind == keyhash.KernelAuto {
