@@ -288,6 +288,18 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("wmserver -shard-rows %s: want a -shard-rows error, got:\n%s", v, out)
 		}
 	}
+	// There is no hash-kernel pin: every scan runs the calibrated
+	// backend, so -kernel is an unknown flag on both binaries.
+	out := runExpectFail(t, bins["wmserver"], "-kernel", "portable",
+		"-addr", "127.0.0.1:-1", "-store", filepath.Join(dir, "store"))
+	if !strings.Contains(out, "-kernel") {
+		t.Fatalf("wmserver -kernel: want an unknown-flag error, got:\n%s", out)
+	}
+	out = runExpectFail(t, bins["wmtool"], "verify", "-kernel", "portable",
+		"-in", data, "-schema", itemScanSpec, "-record", filepath.Join(dir, "cert.json"))
+	if !strings.Contains(out, "-kernel") {
+		t.Fatalf("wmtool verify -kernel: want an unknown-flag error, got:\n%s", out)
+	}
 }
 
 // TestCLIParallel: the -parallel flag must reproduce the sequential

@@ -39,7 +39,6 @@ import (
 	"os"
 
 	"repro/internal/cluster"
-	"repro/internal/keyhash"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
@@ -59,7 +58,6 @@ func main() {
 	workerID := flag.String("worker-id", "", "stable worker identity across restarts (default: the advertise URL)")
 	capacity := flag.Int("capacity", 0, "concurrent shards this worker scans (0 = 1)")
 	shardRows := flag.Int("shard-rows", 0, "suspect rows per dispatched shard when coordinating (0 = default)")
-	kernel := flag.String("kernel", "", "pin the batched keyed-hash backend (see 'wmtool kernels'; empty = auto-select the fastest for this machine)")
 	logLevel := flag.String("log-level", "info", "initial log level: debug, info, warn or error (changeable at runtime via PUT /debug/loglevel)")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof/ profiling endpoints")
 	traceSample := flag.Float64("trace-sample", 1, "trace head-sampling ratio in [0,1]: the probability a request's trace keeps child spans; errored requests are recorded regardless; the decision is a pure function of the trace ID, so every cluster node agrees without coordination")
@@ -83,15 +81,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wmserver: invalid -shard-rows %d (want a row count)\n", *shardRows)
 		os.Exit(2)
 	}
-	kind, err := parseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wmserver:", err)
-		os.Exit(2)
-	}
-
 	level := new(slog.LevelVar)
 	level.Set(obs.ParseLevel(*logLevel))
-	err = server.Run(*addr, *storeDir, server.Config{
+	err := server.Run(*addr, *storeDir, server.Config{
 		Workers:             *workers,
 		MaxBodyBytes:        *maxBody,
 		ScannerCacheEntries: *scannerCache,
@@ -102,7 +94,6 @@ func main() {
 		EnablePprof:         *enablePprof,
 		Trace:               trace.Options{SampleRatio: *traceSample, Capacity: *traceRing},
 		TraceOff:            *traceOff,
-		HashKernel:          kind,
 		Cluster: server.ClusterConfig{
 			Coordinator:  *coordinator,
 			Cluster:      cluster.Config{ShardRows: *shardRows},
@@ -116,27 +107,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wmserver:", err)
 		os.Exit(1)
 	}
-}
-
-// parseKernel validates a -kernel value against the registered hash
-// backends, listing them on a miss.
-func parseKernel(v string) (keyhash.KernelKind, error) {
-	if v == "" || v == "auto" {
-		return keyhash.KernelAuto, nil
-	}
-	for _, bk := range keyhash.Backends() {
-		if string(bk.Kind) == v {
-			if !bk.Available {
-				return "", fmt.Errorf("-kernel %s not available on this machine (needs %s)", v, bk.Requires)
-			}
-			return bk.Kind, nil
-		}
-	}
-	names := "auto"
-	for _, bk := range keyhash.Backends() {
-		names += ", " + string(bk.Kind)
-	}
-	return "", fmt.Errorf("unknown -kernel %q (have %s)", v, names)
 }
 
 // deriveAdvertiseURL builds a loopback advertise URL from a listen

@@ -443,29 +443,21 @@ func cmdVerify(args []string) error {
 	recordPaths := fs.String("records", "", "comma-separated certificate files (stored IDs with -server): verify all against ONE streaming scan of -in")
 	parallel := fs.Int("parallel", 1, "pipeline workers (1 = sequential, 0 = NumCPU)")
 	serverURL := fs.String("server", "", "wmserver base URL: verify remotely against stored certificates, streaming the suspect from disk")
-	kernelFlag := fs.String("kernel", "", "pin the batched keyed-hash backend for local scans (see 'wmtool kernels'; empty = auto-select)")
 	prof := addProfileFlags(fs)
 	fs.Parse(args)
 
 	if *in == "" || *spec == "" || (*recordPath == "") == (*recordPaths == "") {
 		return fmt.Errorf("verify: -in, -schema, and exactly one of -record / -records are required")
 	}
-	kernel, err := parseKernelFlag(*kernelFlag)
-	if err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
 	if err := prof.start(); err != nil {
 		return err
 	}
 	defer prof.stop()
 	if *serverURL != "" {
-		if *kernelFlag != "" {
-			return fmt.Errorf("verify: -kernel applies to local scans; pin the server's backend with wmserver -kernel")
-		}
 		return remoteVerify(*serverURL, *in, *spec, *recordPath, splitList(*recordPaths), *parallel)
 	}
 	if *recordPaths != "" {
-		return verifyBatch(*in, *spec, splitList(*recordPaths), specWorkers(*parallel), kernel)
+		return verifyBatch(*in, *spec, splitList(*recordPaths), specWorkers(*parallel))
 	}
 	data, err := os.ReadFile(*recordPath)
 	if err != nil {
@@ -479,10 +471,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{
-		Workers:    specWorkers(*parallel),
-		HashKernel: kernel,
-	})
+	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{Workers: specWorkers(*parallel)})
 	if err != nil {
 		return err
 	}
@@ -520,7 +509,7 @@ func verdictString(match float64) string {
 // streaming scan: the CSV is read straight off disk block by block and
 // fanned across all prepared scanners (core.VerifyBatch), so auditing a
 // dataset against a whole certificate catalog costs one pass.
-func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyhash.KernelKind) error {
+func verifyBatch(in, spec string, recordPaths []string, workers int) error {
 	records := make([]*core.Record, len(recordPaths))
 	for i, path := range recordPaths {
 		data, err := os.ReadFile(path)
@@ -546,7 +535,7 @@ func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyh
 	if err != nil {
 		return err
 	}
-	outs, err := core.VerifyBatch(context.Background(), records, src, core.BatchOptions{Workers: workers, HashKernel: kernel})
+	outs, err := core.VerifyBatch(context.Background(), records, src, core.BatchOptions{Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -572,8 +561,8 @@ func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyh
 
 // cmdKernels reports the batched keyed-hash backends compiled into this
 // binary, which of them this machine can run, and the startup
-// micro-benchmark's measured rate for each — the data behind every
-// -kernel flag and behind the auto selection scans default to.
+// micro-benchmark's measured rate for each — the data behind the one
+// selection every scan runs on.
 func cmdKernels(args []string) error {
 	fs := flag.NewFlagSet("kernels", flag.ExitOnError)
 	fs.Parse(args)
@@ -595,30 +584,8 @@ func cmdKernels(args []string) error {
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("\nauto (the default for every scan) picked %q on this machine.\n", cal.Kind)
-	fmt.Println("pin a backend with 'wmtool verify -kernel <kind>' or 'wmserver -kernel <kind>'.")
+	fmt.Printf("\nevery scan on this machine runs %q, the fastest measured backend.\n", cal.Kind)
 	return nil
-}
-
-// parseKernelFlag validates a -kernel value against the registered
-// backends, listing them on a miss.
-func parseKernelFlag(v string) (keyhash.KernelKind, error) {
-	if v == "" || v == "auto" {
-		return keyhash.KernelAuto, nil
-	}
-	for _, bk := range keyhash.Backends() {
-		if string(bk.Kind) == v {
-			if !bk.Available {
-				return "", fmt.Errorf("kernel %s not available on this machine (needs %s)", v, bk.Requires)
-			}
-			return bk.Kind, nil
-		}
-	}
-	names := "auto"
-	for _, bk := range keyhash.Backends() {
-		names += ", " + string(bk.Kind)
-	}
-	return "", fmt.Errorf("unknown kernel %q (have %s)", v, names)
 }
 
 func cmdAttack(args []string) error {

@@ -43,9 +43,9 @@ type WorkerRegistration struct {
 	// Capacity is how many shards the worker scans concurrently; <= 0
 	// means 1.
 	Capacity int `json:"capacity,omitempty"`
-	// Kernel is the hash backend the worker's scans run on (the
-	// calibrated KernelAuto pick, or a pinned kind). Informational: the
-	// coordinator surfaces it in /healthz.
+	// Kernel is the hash backend the worker's scans run on: the winner
+	// of its keyhash.Calibrate. Informational: the coordinator surfaces
+	// it in /healthz.
 	Kernel string `json:"kernel,omitempty"`
 	// HashesPerSec is the worker's calibrated single-thread keyed-hash
 	// rate (keyhash.Calibrate). Informational: the coordinator surfaces

@@ -96,13 +96,7 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 		span.SetError(err)
 		return nil, err
 	}
-	if span != nil {
-		kernel := string(opts.HashKernel)
-		if kernel == "" {
-			kernel = keyhash.ActiveKernel()
-		}
-		span.SetAttr("kernel", kernel)
-	}
+	span.SetAttr("kernel", string(keyhash.Calibrate().Kind))
 	ph.Annotate(span)
 	resp := &api.ShardScanResponse{Shard: req.Shard, Tallies: make([]mark.TallyWire, len(tallies))}
 	for j, t := range tallies {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/ecc"
-	"repro/internal/keyhash"
 	"repro/internal/mark"
 	"repro/internal/pipeline"
 	"repro/internal/relation"
@@ -19,10 +18,6 @@ type BatchOptions struct {
 	// calls — the point of registering a catalog once and auditing many
 	// suspect datasets against it.
 	Cache *ScannerCache
-	// HashKernel selects the batched keyed-hash backend every
-	// certificate's scanner runs on (see Spec.HashKernel). Verdicts are
-	// identical across backends.
-	HashKernel keyhash.KernelKind
 	// Progress, when non-nil, receives the tuple count of each scanned
 	// block — once per suspect tuple per pass, regardless of how many
 	// certificates ride it. Called concurrently from worker goroutines;
@@ -65,7 +60,7 @@ type BatchPrep struct {
 func PrepareBatch(records []*Record, schema *relation.Schema, opts BatchOptions) *BatchPrep {
 	p := &BatchPrep{errs: make([]error, len(records))}
 	for i, rec := range records {
-		pr, err := prepared(rec, opts.Cache, opts.HashKernel)
+		pr, err := prepared(rec, opts.Cache)
 		if err != nil {
 			p.errs[i] = err
 			continue

@@ -70,12 +70,6 @@ type Spec struct {
 	// (MaxAlterationFraction > 0) is order-dependent and always runs
 	// sequentially.
 	Workers int
-	// HashKernel selects the batched keyed-hash backend of the
-	// block-at-a-time engine (keyhash.KernelAuto, KernelPortable or
-	// KernelMultiBuffer). The zero value picks the fastest backend this
-	// CPU supports; the choice never changes a digest, a certificate or
-	// a verdict — only throughput.
-	HashKernel keyhash.KernelKind
 	// Progress, when non-nil, observes the embedding pass: it receives
 	// the tuple count of each completed block, concurrently from worker
 	// goroutines. Async jobs aggregate it into their tuples-processed
@@ -174,14 +168,13 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 	}
 	k1, k2 := s.keys()
 	opts := mark.Options{
-		KeyAttr:    s.KeyAttr,
-		Attr:       s.Attribute,
-		K1:         k1,
-		K2:         k2,
-		E:          e,
-		Domain:     dom,
-		Assessor:   assessor,
-		HashKernel: s.HashKernel,
+		KeyAttr:  s.KeyAttr,
+		Attr:     s.Attribute,
+		K1:       k1,
+		K2:       k2,
+		E:        e,
+		Domain:   dom,
+		Assessor: assessor,
 	}
 	mst, err := pipeline.Embed(ctx, r, wm, opts, pipeline.Config{
 		Workers:  workerCount(s.Workers),
@@ -259,16 +252,6 @@ func (rec *Record) Verify(suspect *relation.Relation) (Report, error) {
 	return rec.verify(context.Background(), suspect, VerifyOptions{})
 }
 
-// VerifyParallel is Verify with the detection scans chunked across a
-// worker pool (see internal/pipeline). workers follows the Spec.Workers
-// convention: 0 or 1 runs sequentially, > 1 uses that many goroutines,
-// negative means runtime.NumCPU(). The recovered bit string is
-// bit-identical to Verify's.
-func (rec *Record) VerifyParallel(suspect *relation.Relation, workers int) (Report, error) {
-	//wmlint:ignore ctxloop compatibility entry point; VerifyContext is the cancellable path
-	return rec.verify(context.Background(), suspect, VerifyOptions{Workers: workers})
-}
-
 // VerifyOptions parameterises VerifyWith.
 type VerifyOptions struct {
 	// Workers follows the Spec.Workers convention (0/1 sequential,
@@ -277,9 +260,6 @@ type VerifyOptions struct {
 	// Cache, when non-nil, reuses prepared certificate state across
 	// verifies of the same record (see ScannerCache).
 	Cache *ScannerCache
-	// HashKernel selects the batched keyed-hash backend (see
-	// Spec.HashKernel); verdicts are identical across backends.
-	HashKernel keyhash.KernelKind
 }
 
 // VerifyWith is Verify with an explicit worker count and an optional
@@ -299,7 +279,7 @@ func (rec *Record) VerifyContext(ctx context.Context, suspect *relation.Relation
 func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o VerifyOptions) (Report, error) {
 	var rep Report
 	rep.FrequencyMatch = -1
-	p, err := prepared(rec, o.Cache, o.HashKernel)
+	p, err := prepared(rec, o.Cache)
 	if err != nil {
 		return rep, err
 	}

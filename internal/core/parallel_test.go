@@ -48,9 +48,10 @@ func TestParallelWatermarkEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestVerifyParallelBitIdentical: parallel verification must recover the
-// identical bit string as Verify, marked or unmarked data alike.
-func TestVerifyParallelBitIdentical(t *testing.T) {
+// TestVerifyWithWorkersBitIdentical: verification on a worker pool must
+// recover the identical bit string as Verify, marked or unmarked data
+// alike.
+func TestVerifyWithWorkersBitIdentical(t *testing.T) {
 	r, dom := coreData(t, 12000)
 	pristine := r.Clone()
 	rec, _, err := Watermark(r, Spec{
@@ -68,7 +69,7 @@ func TestVerifyParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, -1, 0} {
-		par, err := rec.VerifyParallel(r, workers)
+		par, err := rec.VerifyWith(r, VerifyOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestVerifyParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := rec.VerifyParallel(pristine, 4)
+	parP, err := rec.VerifyWith(pristine, VerifyOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

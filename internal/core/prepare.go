@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/ecc"
-	"repro/internal/keyhash"
 	"repro/internal/mark"
 	"repro/internal/relation"
 )
@@ -26,7 +25,7 @@ type preparedRecord struct {
 	opts mark.Options
 }
 
-func prepareRecord(rec *Record, kernel keyhash.KernelKind) (*preparedRecord, error) {
+func prepareRecord(rec *Record) (*preparedRecord, error) {
 	want, err := ecc.ParseBits(rec.WM)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt record: %w", err)
@@ -47,7 +46,6 @@ func prepareRecord(rec *Record, kernel keyhash.KernelKind) (*preparedRecord, err
 			E:                 rec.E,
 			Domain:            dom,
 			BandwidthOverride: rec.Bandwidth,
-			HashKernel:        kernel,
 		},
 	}, nil
 }
@@ -130,14 +128,11 @@ func NewScannerCache(maxEntries int) *ScannerCache {
 	}
 }
 
-// prepared returns the cached state for rec under the given hash-kernel
-// kind, deriving and inserting it on miss. The kind is part of the cache
-// key — prepared state carries the kernel choice into every scanner it
-// spawns, so entries for different backends must not alias. Derivation
-// happens outside the lock; when two goroutines race on the same
-// certificate the first insert wins and both share its state.
-func (c *ScannerCache) prepared(rec *Record, kernel keyhash.KernelKind) (*preparedRecord, error) {
-	key := rec.fingerprint() + "|" + string(kernel)
+// prepared returns the cached state for rec, deriving and inserting it
+// on miss. Derivation happens outside the lock; when two goroutines race
+// on the same certificate the first insert wins and both share its state.
+func (c *ScannerCache) prepared(rec *Record) (*preparedRecord, error) {
+	key := rec.fingerprint()
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
@@ -149,7 +144,7 @@ func (c *ScannerCache) prepared(rec *Record, kernel keyhash.KernelKind) (*prepar
 	c.misses++
 	c.mu.Unlock()
 
-	p, err := prepareRecord(rec, kernel)
+	p, err := prepareRecord(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +179,9 @@ func (c *ScannerCache) Stats() CacheStats {
 
 // prepared resolves a record's verification state through an optional
 // cache; a nil cache derives it fresh.
-func prepared(rec *Record, cache *ScannerCache, kernel keyhash.KernelKind) (*preparedRecord, error) {
+func prepared(rec *Record, cache *ScannerCache) (*preparedRecord, error) {
 	if cache == nil {
-		return prepareRecord(rec, kernel)
+		return prepareRecord(rec)
 	}
-	return cache.prepared(rec, kernel)
+	return cache.prepared(rec)
 }

@@ -111,7 +111,7 @@ func BenchmarkKernelHashMany(b *testing.B) {
 func resolveBenchKernel(env string) (KernelKind, error) {
 	switch env {
 	case "auto":
-		return AutoKind(), nil
+		return Calibrate().Kind, nil
 	case "widest":
 		kind, lanes := KernelPortable, 1
 		for _, bk := range Backends() {

@@ -29,15 +29,12 @@ var (
 // and returns the fastest, caching the result for the process lifetime.
 // The first caller pays a few milliseconds (about a millisecond per
 // available backend); everyone after reads the cache. NewKernel
-// (KernelAuto) resolves through this, so the cost is paid at most once
-// no matter how many scanners a process builds.
+// (KernelAuto) resolves through this, so every scanner and embedder in
+// a process runs the same backend and the cost is paid at most once.
 func Calibrate() Calibration {
 	calibOnce.Do(func() { calibResult = runCalibration(time.Millisecond) })
 	return calibResult
 }
-
-// AutoKind is the concrete backend KernelAuto resolves to.
-func AutoKind() KernelKind { return Calibrate().Kind }
 
 // runCalibration measures every available backend for roughly budget
 // each and picks the fastest. Ties (unlikely) keep the earlier

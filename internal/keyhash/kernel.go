@@ -65,7 +65,9 @@ const (
 	// KernelAuto picks the fastest backend available on this machine:
 	// the first NewKernel(KernelAuto) in a process runs a short
 	// calibration pass (see Calibrate) that micro-benchmarks every
-	// available backend and caches the winner.
+	// available backend and caches the winner. Every production scan
+	// and embedding builds this kind; the concrete kinds below exist
+	// for calibration, tests and benchmarks.
 	KernelAuto KernelKind = ""
 	// KernelPortable is the pure-Go batched kernel: one-shot SHA-256 per
 	// value over a reused stack scratch buffer. Available everywhere.
@@ -85,8 +87,8 @@ const (
 
 // backendDef is one registered hash backend: the registry entry that
 // lets a kernel self-describe its lane width and CPU requirements, so
-// enumeration (KernelKinds, Backends, KernelStats, Calibrate) can never
-// silently miss a backend that NewKernel accepts.
+// enumeration (Backends, KernelStats, Calibrate) can never silently
+// miss a backend that NewKernel accepts.
 type backendDef struct {
 	kind  KernelKind
 	lanes int
@@ -125,16 +127,6 @@ func lookupBackend(kind KernelKind) *backendDef {
 	return nil
 }
 
-// KernelKinds lists the kinds accepted by NewKernel, KernelAuto first.
-func KernelKinds() []KernelKind {
-	kinds := make([]KernelKind, 0, len(registry)+1)
-	kinds = append(kinds, KernelAuto)
-	for _, d := range registry {
-		kinds = append(kinds, d.kind)
-	}
-	return kinds
-}
-
 // BackendInfo describes one registered hash backend for introspection
 // (wmtool kernels, the README catalog, tests).
 type BackendInfo struct {
@@ -166,14 +158,15 @@ func Backends() []BackendInfo {
 
 // NewKernel validates the key and builds the requested hash backend.
 // KernelAuto never fails on a valid key (it resolves to the calibrated
-// winner, see Calibrate); a concrete kind fails where the CPU (or
-// architecture) lacks the features it needs.
+// winner, see Calibrate) and is what every scan and embedding uses; a
+// concrete kind, built by tests and benchmarks to compare backends,
+// fails where the CPU (or architecture) lacks the features it needs.
 func (k Key) NewKernel(kind KernelKind) (Kernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
 	if kind == KernelAuto {
-		kind = AutoKind()
+		kind = Calibrate().Kind
 	}
 	d := lookupBackend(kind)
 	if d == nil {

@@ -22,16 +22,6 @@ type KernelCounters struct {
 	Values uint64 // key values hashed across those calls
 }
 
-// ActiveKernel names the backend a KernelAuto request resolves to on
-// this process — the calibrated winner — as the spelling NewKernel
-// accepts. Trace spans attach it so a shard's phase timings can be read
-// against the kernel that produced them. The first call may run the
-// calibration pass (Calibrate caches it); scan paths call this after
-// their kernels are built, so in practice it only reads the cache.
-func ActiveKernel() string {
-	return string(AutoKind())
-}
-
 // KernelStats reports per-backend HashMany totals for this process,
 // keyed by the concrete kernel kind (KernelAuto resolves to whichever
 // backend it picked, so it never appears as a key). The map is built

@@ -75,38 +75,36 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 		n := 1 + rng.Intn(3000)
 		r := blockTestRelation(t, n, int64(trial))
 		for _, agg := range []VoteAggregation{MajorityVote, LastWriteWins} {
-			for _, kind := range []keyhash.KernelKind{keyhash.KernelAuto, keyhash.KernelPortable} {
-				opts := Options{
-					Attr: "cat", K1: keyhash.NewKey("bk-k1"), K2: keyhash.NewKey("bk-k2"),
-					E: 3, Aggregation: agg, Domain: blockTestDomain(t),
-					BandwidthOverride: 40, HashKernel: kind,
-				}
-				sc, err := NewScanner(r, 10, opts)
-				if err != nil {
+			opts := Options{
+				Attr: "cat", K1: keyhash.NewKey("bk-k1"), K2: keyhash.NewKey("bk-k2"),
+				E: 3, Aggregation: agg, Domain: blockTestDomain(t),
+				BandwidthOverride: 40,
+			}
+			sc, err := NewScanner(r, 10, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := sc.NewTally()
+			for j := 0; j < r.Len(); j++ {
+				sc.ScanTuple(r.Tuple(j), want)
+			}
+
+			got := sc.NewTally()
+			var bs BlockScratch
+			for _, p := range randomPartition(rng, r.Len()) {
+				if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d agg %v: ScanBlock tally diverged from ScanTuple loop", trial, agg)
+			}
 
-				want := sc.NewTally()
-				for j := 0; j < r.Len(); j++ {
-					sc.ScanTuple(r.Tuple(j), want)
-				}
-
-				got := sc.NewTally()
-				var bs BlockScratch
-				for _, p := range randomPartition(rng, r.Len()) {
-					if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d agg %v kernel %q: ScanBlock tally diverged from ScanTuple loop", trial, agg, kind)
-				}
-
-				wantRep, err1 := sc.Report(want)
-				gotRep, err2 := sc.Report(got)
-				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(wantRep, gotRep) {
-					t.Fatalf("trial %d agg %v kernel %q: report diverged", trial, agg, kind)
-				}
+			wantRep, err1 := sc.Report(want)
+			gotRep, err2 := sc.Report(got)
+			if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(wantRep, gotRep) {
+				t.Fatalf("trial %d agg %v: report diverged", trial, agg)
 			}
 		}
 	}
@@ -308,8 +306,10 @@ func TestEmbedBlockOrderDependentLedger(t *testing.T) {
 }
 
 // FuzzScanBlockEquivalence lets the fuzzer pick the relation size, seed,
-// fitness parameter and block partition seed, and re-checks the
-// ScanBlock ≡ ScanTuple-loop property.
+// fitness parameter and block partition seed, and re-checks both block
+// kernels against the ScanTuple loop over the same partition: ScanBlock
+// over row ranges, and ScanColumns (the streaming and cluster kernel)
+// over columnar blocks.
 func FuzzScanBlockEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(500), uint8(3), int64(2))
 	f.Add(int64(9), uint16(1), uint8(1), int64(4))
@@ -331,15 +331,24 @@ func FuzzScanBlockEquivalence(f *testing.F) {
 		for j := 0; j < r.Len(); j++ {
 			sc.ScanTuple(r.Tuple(j), want)
 		}
-		got := sc.NewTally()
-		var bs BlockScratch
+		got, cols := sc.NewTally(), sc.NewTally()
+		var bs, cs BlockScratch
+		blk := relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blk)
 		for _, p := range randomPartition(rand.New(rand.NewSource(partSeed)), r.Len()) {
 			if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
+				t.Fatal(err)
+			}
+			fillBlock(blk, r, p[0], p[1])
+			if err := sc.ScanColumns(blk, cols, &cs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("n=%d e=%d: ScanBlock diverged from ScanTuple loop", n, e)
+		}
+		if !reflect.DeepEqual(want, cols) {
+			t.Fatalf("n=%d e=%d: ScanColumns diverged from ScanTuple loop", n, e)
 		}
 	})
 }

@@ -36,15 +36,24 @@ type Embedder struct {
 	kern1, kern2 keyhash.Kernel
 }
 
+// newKernels builds the batched hash kernels for K1 and K2 on the
+// backend keyhash.Calibrate picked for this process. The backend never
+// changes a digest, so it is an execution strategy, not an option.
+func newKernels(opts Options) (kern1, kern2 keyhash.Kernel, err error) {
+	if kern1, err = opts.K1.NewKernel(keyhash.KernelAuto); err != nil {
+		return nil, nil, fmt.Errorf("mark: k1: %w", err)
+	}
+	if kern2, err = opts.K2.NewKernel(keyhash.KernelAuto); err != nil {
+		return nil, nil, fmt.Errorf("mark: k2: %w", err)
+	}
+	return kern1, kern2, nil
+}
+
 // newEmbedder assembles the prepared pass once parameters are validated.
 func newEmbedder(opts Options, keyCol, attrCol int, dom *relation.Domain, bw int, wmData ecc.Bits) (*Embedder, error) {
-	kern1, err := opts.K1.NewKernel(opts.HashKernel)
+	kern1, kern2, err := newKernels(opts)
 	if err != nil {
-		return nil, fmt.Errorf("mark: k1: %w", err)
-	}
-	kern2, err := opts.K2.NewKernel(opts.HashKernel)
-	if err != nil {
-		return nil, fmt.Errorf("mark: k2: %w", err)
+		return nil, err
 	}
 	return &Embedder{
 		opts:    opts,
@@ -208,13 +217,9 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		return nil, fmt.Errorf("%w: |wm|=%d, N/e=%d (N=%d, e=%d)",
 			ErrInsufficientBandwidth, wmLen, bw, n, opts.E)
 	}
-	kern1, err := opts.K1.NewKernel(opts.HashKernel)
+	kern1, kern2, err := newKernels(opts)
 	if err != nil {
-		return nil, fmt.Errorf("mark: k1: %w", err)
-	}
-	kern2, err := opts.K2.NewKernel(opts.HashKernel)
-	if err != nil {
-		return nil, fmt.Errorf("mark: k2: %w", err)
+		return nil, err
 	}
 	return &Scanner{
 		opts:    opts,

@@ -28,41 +28,39 @@ func TestScanColumnsMatchesScanBlock(t *testing.T) {
 		n := 1 + rng.Intn(3000)
 		r := blockTestRelation(t, n, int64(50+trial))
 		for _, agg := range []VoteAggregation{MajorityVote, LastWriteWins} {
-			for _, kind := range []keyhash.KernelKind{keyhash.KernelAuto, keyhash.KernelPortable} {
-				opts := Options{
-					Attr: "cat", K1: keyhash.NewKey("col-k1"), K2: keyhash.NewKey("col-k2"),
-					E: 3, Aggregation: agg, Domain: blockTestDomain(t),
-					BandwidthOverride: 40, HashKernel: kind,
-				}
-				sc, err := NewScanner(r, 10, opts)
-				if err != nil {
+			opts := Options{
+				Attr: "cat", K1: keyhash.NewKey("col-k1"), K2: keyhash.NewKey("col-k2"),
+				E: 3, Aggregation: agg, Domain: blockTestDomain(t),
+				BandwidthOverride: 40,
+			}
+			sc, err := NewScanner(r, 10, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := sc.NewTally()
+			for j := 0; j < r.Len(); j++ {
+				sc.ScanTuple(r.Tuple(j), want)
+			}
+
+			got := sc.NewTally()
+			var bs BlockScratch
+			blk := relation.GetBlock(r.Schema())
+			for _, p := range randomPartition(rng, r.Len()) {
+				fillBlock(blk, r, p[0], p[1])
+				if err := sc.ScanColumns(blk, got, &bs); err != nil {
 					t.Fatal(err)
 				}
+			}
+			relation.PutBlock(blk)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d agg %v: ScanColumns tally diverged from ScanTuple loop", trial, agg)
+			}
 
-				want := sc.NewTally()
-				for j := 0; j < r.Len(); j++ {
-					sc.ScanTuple(r.Tuple(j), want)
-				}
-
-				got := sc.NewTally()
-				var bs BlockScratch
-				blk := relation.GetBlock(r.Schema())
-				for _, p := range randomPartition(rng, r.Len()) {
-					fillBlock(blk, r, p[0], p[1])
-					if err := sc.ScanColumns(blk, got, &bs); err != nil {
-						t.Fatal(err)
-					}
-				}
-				relation.PutBlock(blk)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d agg %v kernel %q: ScanColumns tally diverged from ScanTuple loop", trial, agg, kind)
-				}
-
-				wantRep, err1 := sc.Report(want)
-				gotRep, err2 := sc.Report(got)
-				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(wantRep, gotRep) {
-					t.Fatalf("trial %d agg %v kernel %q: report diverged", trial, agg, kind)
-				}
+			wantRep, err1 := sc.Report(want)
+			gotRep, err2 := sc.Report(got)
+			if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(wantRep, gotRep) {
+				t.Fatalf("trial %d agg %v: report diverged", trial, agg)
 			}
 		}
 	}

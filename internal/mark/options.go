@@ -105,12 +105,6 @@ type Options struct {
 	// The default erasure-aware decoding ignores unfilled positions and is
 	// strictly stronger (see EXPERIMENTS.md, Figure 7 discussion).
 	ZeroUnfilled bool
-	// HashKernel selects the batched keyed-hash backend for the
-	// block-at-a-time engine (see keyhash.Kernel). The zero value picks
-	// the fastest backend available on this CPU; digests — and therefore
-	// every embedding decision and detection vote — are identical across
-	// backends.
-	HashKernel keyhash.KernelKind
 	// SkipRow, when non-nil, excludes rows from embedding — the Section
 	// 3.3 interference ledger hook ("remembering modified tuples in each
 	// marking pass ... to avoid tuples that were already considered").

@@ -65,19 +65,14 @@ func (s *Server) Join() {
 		opts = append(opts, cluster.WithAgentLogger(s.cfg.Log))
 	}
 	// Advertise the hash backend this worker scans with and its
-	// calibrated rate, which the coordinator reports in /healthz. A
-	// pinned -kernel advertises the pinned backend's measured rate.
+	// calibrated rate, which the coordinator reports in /healthz.
 	cal := keyhash.Calibrate()
-	kind := s.cfg.HashKernel
-	if kind == keyhash.KernelAuto {
-		kind = cal.Kind
-	}
 	s.agent = cluster.StartAgent(cc.JoinURL, api.WorkerRegistration{
 		ID:           cc.WorkerID,
 		URL:          cc.AdvertiseURL,
 		Capacity:     capacity,
-		Kernel:       string(kind),
-		HashesPerSec: cal.HashesPerSec[kind],
+		Kernel:       string(cal.Kind),
+		HashesPerSec: cal.Rate(),
 	}, opts...)
 }
 
@@ -111,10 +106,14 @@ func (s *Server) handleInternalScan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeInvalidArgument, "shard scan needs at least one certificate"))
 		return
 	}
+	workers, aerr := s.workersFor(req.Workers)
+	if aerr != nil {
+		writeErr(w, aerr)
+		return
+	}
 	resp, err := cluster.ExecuteShard(r.Context(), req, core.BatchOptions{
-		Workers:    s.workersFor(req.Workers),
-		Cache:      s.cache,
-		HashKernel: s.cfg.HashKernel,
+		Workers: workers,
+		Cache:   s.cache,
 	})
 	if err != nil {
 		if aerr := ctxErr(err); aerr != nil {

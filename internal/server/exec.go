@@ -80,6 +80,10 @@ func (s *Server) loadStoredRecord(id string) (*core.Record, *api.Error) {
 // tuple counts from the embedding pass (async jobs meter themselves
 // through it; sync handlers pass nil).
 func (s *Server) execWatermark(ctx context.Context, req api.WatermarkRequest, progress func(tuples int)) (*api.WatermarkResponse, *api.Error) {
+	workers, aerr := s.workersFor(req.Workers)
+	if aerr != nil {
+		return nil, aerr
+	}
 	rel, _, err := decodeRelation(req.Schema, req.Format, req.Data)
 	if err != nil {
 		return nil, api.Errorf(api.CodeInvalidArgument, "relation: %v", err)
@@ -99,7 +103,7 @@ func (s *Server) execWatermark(ctx context.Context, req api.WatermarkRequest, pr
 		Domain:                dom,
 		WithFrequencyChannel:  req.FrequencyChannel,
 		MaxAlterationFraction: req.MaxAlterationFraction,
-		Workers:               s.workersFor(req.Workers),
+		Workers:               workers,
 		Progress:              progress,
 	})
 	if err != nil {
@@ -132,6 +136,10 @@ func (s *Server) execWatermark(ctx context.Context, req api.WatermarkRequest, pr
 // inline certificate — the materialized path, with remap recovery and
 // the frequency channel in play.
 func (s *Server) execVerify(ctx context.Context, req api.VerifyRequest) (*api.VerifyResponse, *api.Error) {
+	workers, aerr := s.workersFor(req.Workers)
+	if aerr != nil {
+		return nil, aerr
+	}
 	var rec *core.Record
 	switch {
 	case req.ID != "" && req.Record != nil:
@@ -151,9 +159,8 @@ func (s *Server) execVerify(ctx context.Context, req api.VerifyRequest) (*api.Ve
 		return nil, api.Errorf(api.CodeInvalidArgument, "relation: %v", err)
 	}
 	rep, err := rec.VerifyContext(ctx, suspect, core.VerifyOptions{
-		Workers:    s.workersFor(req.Workers),
-		Cache:      s.cache,
-		HashKernel: s.cfg.HashKernel,
+		Workers: workers,
+		Cache:   s.cache,
 	})
 	if err != nil {
 		if aerr := ctxErr(err); aerr != nil {
@@ -194,6 +201,10 @@ func (s *Server) execVerifyBatch(ctx context.Context, req api.BatchVerifyRequest
 // deleted between List and Get is reported per-certificate instead of
 // failing the audit.
 func (s *Server) execVerifyBatchScan(ctx context.Context, ids []string, explicit bool, src relation.RowReader, workers int, progress func(tuples int)) (*api.BatchVerifyResponse, *api.Error) {
+	workers, aerr := s.workersFor(workers)
+	if aerr != nil {
+		return nil, aerr
+	}
 	if !explicit {
 		all, err := s.store.List()
 		if err != nil {
@@ -225,10 +236,9 @@ func (s *Server) execVerifyBatchScan(ctx context.Context, ids []string, explicit
 	}
 
 	opts := core.BatchOptions{
-		Workers:    s.workersFor(workers),
-		Cache:      s.cache,
-		Progress:   progress,
-		HashKernel: s.cfg.HashKernel,
+		Workers:  workers,
+		Cache:    s.cache,
+		Progress: progress,
 	}
 	// A coordinator with live workers fans the scan out across the
 	// cluster; the merged result is bit-identical to the local pass (the

@@ -32,6 +32,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return obs.WithRequestID(ctx, reqID)
 	}
 	var fn jobs.Func
+	var workers int
 	switch req.Kind {
 	case api.JobKindWatermark:
 		if req.Watermark == nil {
@@ -40,6 +41,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		payload := *req.Watermark
+		workers = payload.Workers
 		fn = func(ctx context.Context, p *jobs.Progress) (any, error) {
 			resp, aerr := s.execWatermark(withReqID(ctx), payload, p.Add)
 			if aerr != nil {
@@ -54,6 +56,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		payload := *req.VerifyBatch
+		workers = payload.Workers
 		fn = func(ctx context.Context, p *jobs.Progress) (any, error) {
 			resp, aerr := s.execVerifyBatch(withReqID(ctx), payload, p.Add)
 			if aerr != nil {
@@ -65,6 +68,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeInvalidArgument,
 			"unknown job kind %q (want %s or %s)", req.Kind,
 			api.JobKindWatermark, api.JobKindVerifyBatch))
+		return
+	}
+	// Refuse a bad worker override with a 400 now, not as a failed job.
+	if _, aerr := s.workersFor(workers); aerr != nil {
+		writeErr(w, aerr)
 		return
 	}
 

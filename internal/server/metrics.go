@@ -54,14 +54,8 @@ func (s *Server) registerProcessMetrics() {
 			}
 		}, "kernel")
 	r.Sampled("wm_keyhash_selected_kernel",
-		"1 for the hash backend scans on this server run on — the calibration winner, or the pinned -kernel override.", obs.TypeGauge,
-		func(emit obs.Emit) {
-			kind := s.cfg.HashKernel
-			if kind == keyhash.KernelAuto {
-				kind = keyhash.Calibrate().Kind
-			}
-			emit(1, string(kind))
-		}, "kernel")
+		"1 for the hash backend scans on this server run on: the calibration winner.", obs.TypeGauge,
+		func(emit obs.Emit) { emit(1, string(keyhash.Calibrate().Kind)) }, "kernel")
 	if s.cache != nil {
 		r.Sampled("wm_scanner_cache_entries",
 			"Prepared certificates held by the scanner cache.", obs.TypeGauge,

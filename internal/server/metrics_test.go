@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/keyhash"
 	"repro/internal/obs"
 )
 
@@ -192,6 +193,49 @@ func TestMetricsEndpointExposesAllLayers(t *testing.T) {
 	}
 	if _, ok := m["wm_uptime_seconds"]; !ok {
 		t.Fatal("wm_uptime_seconds missing")
+	}
+}
+
+// TestHealthzSelectedKernel pins the one hash-kernel selection: /healthz
+// reports the backend keyhash.Calibrate picked (and nothing a user could
+// have pinned), and /metrics exports exactly that backend as the only
+// wm_keyhash_selected_kernel series.
+func TestHealthzSelectedKernel(t *testing.T) {
+	ts, _ := newTestServerWithClose(t, Config{Workers: 1})
+	var h struct {
+		Kernel map[string]json.RawMessage `json:"hash_kernel"`
+	}
+	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &h); status != http.StatusOK {
+		t.Fatalf("healthz status %d", status)
+	}
+	if len(h.Kernel) != 2 {
+		t.Fatalf("hash_kernel block has keys %v, want selected and hashes_per_sec", h.Kernel)
+	}
+	var selected string
+	var rates map[string]float64
+	if err := json.Unmarshal(h.Kernel["selected"], &selected); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(h.Kernel["hashes_per_sec"], &rates); err != nil {
+		t.Fatal(err)
+	}
+	if want := string(keyhash.Calibrate().Kind); selected != want {
+		t.Fatalf("healthz selected %q, calibration picked %q", selected, want)
+	}
+	if rates[selected] <= 0 {
+		t.Fatalf("no positive rate for the selected backend: %v", rates)
+	}
+
+	m := scrapeMetrics(t, ts.URL)
+	var series []string
+	for k := range m {
+		if strings.HasPrefix(k, "wm_keyhash_selected_kernel{") {
+			series = append(series, k)
+		}
+	}
+	want := `wm_keyhash_selected_kernel{kernel="` + selected + `"}`
+	if len(series) != 1 || series[0] != want || m[want] != 1 {
+		t.Fatalf("wm_keyhash_selected_kernel series %v, want exactly [%s 1]", series, want)
 	}
 }
 

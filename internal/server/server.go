@@ -74,8 +74,8 @@ const DefaultMaxBodyBytes = 256 << 20 // 256 MiB
 // Config parameterises a Server.
 type Config struct {
 	// Workers is the default per-request worker count for the pipeline;
-	// <= 0 means runtime.NumCPU(). Requests may override it downward or
-	// upward with their own "workers" field.
+	// <= 0 means runtime.NumCPU(). Requests may override it with their
+	// own "workers" field; both are capped at maxRequestWorkers.
 	Workers int
 	// MaxBodyBytes caps request body size; <= 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -91,11 +91,6 @@ type Config struct {
 	// JobRetain bounds how many finished jobs stay pollable; <= 0 means
 	// jobs.DefaultRetain.
 	JobRetain int
-	// HashKernel pins the batched keyed-hash backend every scan on this
-	// server runs on (wmserver -kernel). Empty means keyhash.KernelAuto:
-	// the backend the startup micro-benchmark measures fastest on this
-	// machine. Verdicts are identical across backends.
-	HashKernel keyhash.KernelKind
 	// Cluster selects the distributed-audit role (single node by
 	// default): a coordinator fans verify_batch audits out across joined
 	// workers, a worker heartbeats a coordinator and serves shard scans.
@@ -147,6 +142,7 @@ func New(st *store.Store, cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
+	cfg.Workers = min(cfg.Workers, maxRequestWorkers)
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -455,13 +451,20 @@ func encodeRelation(r *relation.Relation, format string) (string, error) {
 	return b.String(), err
 }
 
+// maxRequestWorkers bounds worker counts: the pipeline sizes channels
+// and starts goroutines from them.
+const maxRequestWorkers = 256
+
 // workersFor resolves a request's worker override against the server
-// default.
-func (s *Server) workersFor(requested int) int {
-	if requested > 0 {
-		return requested
+// default. Every route's override passes through it before any work.
+func (s *Server) workersFor(requested int) (int, *api.Error) {
+	if requested > maxRequestWorkers {
+		return 0, api.Errorf(api.CodeInvalidArgument, "workers %d exceeds the limit of %d", requested, maxRequestWorkers)
 	}
-	return s.cfg.Workers
+	if requested > 0 {
+		return requested, nil
+	}
+	return s.cfg.Workers, nil
 }
 
 // ---- HTTP handlers: thin decode/reply shells over the exec layer ----
@@ -688,20 +691,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		},
 		"cluster": s.clusterStatus(),
 	}
-	// The hash-kernel block: which batched keyed-hash backend scans on
-	// this node run on, whether it was pinned (-kernel) or chosen by the
-	// startup micro-benchmark, and the measured rate of every available
-	// backend. Same source of truth as the wm_keyhash_calibration_*
-	// metric families.
+	// The hash-kernel block: the batched keyed-hash backend the startup
+	// micro-benchmark picked for every scan on this node, and the
+	// measured rate of every available backend. Same source of truth as
+	// the wm_keyhash_calibration_* metric families.
 	cal := keyhash.Calibrate()
-	selected := s.cfg.HashKernel
-	if selected == keyhash.KernelAuto {
-		selected = cal.Kind
-	}
 	body["hash_kernel"] = map[string]any{
-		"selected":       string(selected),
-		"pinned":         s.cfg.HashKernel != keyhash.KernelAuto,
-		"calibrated":     string(cal.Kind),
+		"selected":       string(cal.Kind),
 		"hashes_per_sec": cal.HashesPerSec,
 	}
 	if s.cache != nil {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/server/store"
 )
@@ -384,5 +387,80 @@ func TestQueueFullReplies429(t *testing.T) {
 	}, &e)
 	if status != http.StatusTooManyRequests || e.Code != api.CodeQueueFull {
 		t.Fatalf("saturated submit: status %d, %+v (stats %+v)", status, e, srv.jobs.Stats())
+	}
+}
+
+// TestOversizedWorkersRejected sends a worker override far beyond
+// maxRequestWorkers through every route that reaches a scan: each must
+// reply 400 invalid_argument before any work starts (a job at submit
+// time), instead of sizing the pipeline's channels and goroutine pool
+// from the wire value. A request at the bound still verifies.
+func TestOversizedWorkersRejected(t *testing.T) {
+	ts, srv := newTestServerWithClose(t, Config{Workers: 1})
+	csv, domain := testCSV(t, 2000)
+	owner, marked := watermarkFixture(t, ts, "workers-owner", csv, domain)
+	rec, err := srv.store.Get(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1 << 50
+
+	wantRejected := func(route string, status int, e api.Error) {
+		t.Helper()
+		if status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument || !strings.Contains(e.Message, "workers") {
+			t.Fatalf("%s: status %d, %+v; want 400 %s on workers", route, status, e, api.CodeInvalidArgument)
+		}
+	}
+	var e api.Error
+	status, _ := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", api.JobRequest{
+		Kind: api.JobKindVerifyBatch,
+		VerifyBatch: &api.BatchVerifyRequest{
+			Records: []string{owner}, Schema: testSchemaSpec, Data: marked, Workers: huge,
+		},
+	}, &e)
+	wantRejected("verify_batch job", status, e)
+	if n := len(srv.jobs.List()); n != 0 {
+		t.Fatalf("rejected job was queued: %d jobs", n)
+	}
+
+	e = api.Error{}
+	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", api.JobRequest{
+		Kind: api.JobKindWatermark,
+		Watermark: &api.WatermarkRequest{
+			Schema: testSchemaSpec, Data: csv, Secret: "s", Attribute: "Item_Nbr",
+			WM: "1011", E: 20, Domain: domain, Workers: huge,
+		},
+	}, &e)
+	wantRejected("watermark job", status, e)
+
+	e = api.Error{}
+	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/verify/batch", api.BatchVerifyRequest{
+		Records: []string{owner}, Schema: testSchemaSpec, Data: marked, Workers: huge,
+	}, &e)
+	wantRejected("sync verify/batch", status, e)
+
+	e = api.Error{}
+	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/verify", api.VerifyRequest{
+		ID: owner, Schema: testSchemaSpec, Data: marked, Workers: huge,
+	}, &e)
+	wantRejected("sync verify", status, e)
+
+	e = api.Error{}
+	u := fmt.Sprintf("%s/v2/verify/batch?schema=%s&records=%s&workers=%d",
+		ts.URL, url.QueryEscape(testSchemaSpec), owner, huge)
+	wantRejected("streaming verify/batch", postRaw(t, u, api.ContentTypeCSV, marked, &e), e)
+
+	e = api.Error{}
+	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/internal/scan", api.ShardScanRequest{
+		Schema: testSchemaSpec, Data: marked, Records: []*core.Record{rec}, Workers: huge,
+	}, &e)
+	wantRejected("internal scan", status, e)
+
+	var resp api.BatchVerifyResponse
+	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/verify/batch", api.BatchVerifyRequest{
+		Records: []string{owner}, Schema: testSchemaSpec, Data: marked, Workers: maxRequestWorkers,
+	}, &resp)
+	if status != http.StatusOK || len(resp.Results) != 1 || resp.Results[0].Match != 1 {
+		t.Fatalf("workers at the bound: status %d, %+v", status, resp)
 	}
 }
