@@ -8,11 +8,15 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -342,6 +346,74 @@ func TestCLIParallel(t *testing.T) {
 	if !strings.Contains(out, "detected watermark: 1011001110") ||
 		!strings.Contains(out, "match vs expected: 100.0%") {
 		t.Fatalf("parallel detect output: %s", out)
+	}
+}
+
+// TestCLIRemoteParallelTravels pins the one worker-count convention on
+// the wire: `-parallel N` reaches the server as workers N on both remote
+// commands, so the default -parallel 1 asks for the sequential pass the
+// flag promises instead of the server's default, and -parallel 0 leaves
+// the choice to the server. A stub server records each request's
+// override and refuses it, so no real work runs.
+func TestCLIRemoteParallelTravels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildCommands(t)
+	dir := t.TempDir()
+	data := filepath.Join(dir, "itemscan.csv")
+	run(t, bins["wmdatagen"], "-dataset", "itemscan", "-n", "200",
+		"-catalog", "20", "-seed", "cli-remote-parallel", "-out", data, "-domains-dir", dir)
+
+	var mu sync.Mutex
+	var got []string
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		workers := r.URL.Query().Get("workers")
+		if r.URL.Path == "/v2/watermark" {
+			var body struct {
+				Workers int `json:"workers"`
+			}
+			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+				t.Errorf("watermark body: %v", err)
+			}
+			workers = strconv.Itoa(body.Workers)
+		}
+		mu.Lock()
+		got = append(got, r.URL.Path+" workers="+workers)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(`{"error":"stub","code":"invalid_argument"}`)) //nolint:errcheck
+	}))
+	defer stub.Close()
+
+	for _, tc := range []struct {
+		parallel []string
+		want     string
+	}{
+		{nil, "1"}, // the flag default
+		{[]string{"-parallel", "1"}, "1"},
+		{[]string{"-parallel", "3"}, "3"},
+		{[]string{"-parallel", "0"}, ""}, // omitted: the server default
+	} {
+		wantWatermark := tc.want
+		if wantWatermark == "" {
+			wantWatermark = "0"
+		}
+		mu.Lock()
+		got = got[:0]
+		mu.Unlock()
+		runExpectFail(t, bins["wmtool"], append([]string{"watermark", "-server", stub.URL,
+			"-in", data, "-schema", itemScanSpec, "-attr", "Item_Nbr", "-secret", "s",
+			"-wm", "1011", "-e", "10", "-out", filepath.Join(dir, "m.csv")}, tc.parallel...)...)
+		runExpectFail(t, bins["wmtool"], append([]string{"verify", "-server", stub.URL,
+			"-in", data, "-schema", itemScanSpec, "-record", "some-id"}, tc.parallel...)...)
+		want := []string{"/v2/watermark workers=" + wantWatermark, "/v2/verify workers=" + tc.want}
+		mu.Lock()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: server saw %q, want %q", tc.parallel, got, want)
+		}
+		mu.Unlock()
 	}
 }
 

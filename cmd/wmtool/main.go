@@ -17,7 +17,8 @@
 // addition, alteration, shuffle, sort, remap.
 //
 // embed, detect, watermark and verify accept -parallel N to run the
-// chunked worker pool of internal/pipeline (1 = sequential, 0 = NumCPU);
+// chunked worker pool of internal/pipeline (1 = sequential, 0 = NumCPU,
+// or with -server the server's default; N travels to the server as is);
 // verify -records checks a suspect against many certificates in ONE
 // streaming scan; serve runs the wmserver HTTP API in-process.
 //
@@ -370,7 +371,7 @@ func cmdWatermark(args []string) error {
 	maxAlter := fs.Float64("max-alteration", 0, "quality budget: maximum fraction of tuples altered (0 = unlimited)")
 	out := fs.String("out", "", "output CSV")
 	recordPath := fs.String("record", "", "output watermark certificate (JSON, secret!); local mode only")
-	parallel := fs.Int("parallel", 1, "pipeline workers (1 = sequential, 0 = NumCPU)")
+	parallel := fs.Int("parallel", 1, "pipeline workers (1 = sequential, 0 = NumCPU, or the server default with -server)")
 	serverURL := fs.String("server", "", "wmserver base URL: embed remotely, certificate stored server-side")
 	fs.Parse(args)
 
@@ -401,7 +402,7 @@ func cmdWatermark(args []string) error {
 		Domain:                dom,
 		WithFrequencyChannel:  *withFreq,
 		MaxAlterationFraction: *maxAlter,
-		Workers:               specWorkers(*parallel),
+		Workers:               *parallel,
 	})
 	if err != nil {
 		return err
@@ -426,22 +427,13 @@ func cmdWatermark(args []string) error {
 	return nil
 }
 
-// specWorkers maps the CLI -parallel convention (1 = sequential,
-// 0 = NumCPU) onto core.Spec.Workers (0/1 = sequential, < 0 = NumCPU).
-func specWorkers(parallel int) int {
-	if parallel == 0 {
-		return -1
-	}
-	return parallel
-}
-
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	in := fs.String("in", "", "suspect CSV")
 	spec := fs.String("schema", "", "schema spec")
 	recordPath := fs.String("record", "", "watermark certificate (JSON file; a stored ID with -server)")
 	recordPaths := fs.String("records", "", "comma-separated certificate files (stored IDs with -server): verify all against ONE streaming scan of -in")
-	parallel := fs.Int("parallel", 1, "pipeline workers (1 = sequential, 0 = NumCPU)")
+	parallel := fs.Int("parallel", 1, "pipeline workers (1 = sequential, 0 = NumCPU, or the server default with -server)")
 	serverURL := fs.String("server", "", "wmserver base URL: verify remotely against stored certificates, streaming the suspect from disk")
 	prof := addProfileFlags(fs)
 	fs.Parse(args)
@@ -457,7 +449,7 @@ func cmdVerify(args []string) error {
 		return remoteVerify(*serverURL, *in, *spec, *recordPath, splitList(*recordPaths), *parallel)
 	}
 	if *recordPaths != "" {
-		return verifyBatch(*in, *spec, splitList(*recordPaths), specWorkers(*parallel))
+		return verifyBatch(*in, *spec, splitList(*recordPaths), *parallel)
 	}
 	data, err := os.ReadFile(*recordPath)
 	if err != nil {
@@ -471,7 +463,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{Workers: specWorkers(*parallel)})
+	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{Workers: *parallel})
 	if err != nil {
 		return err
 	}
@@ -755,15 +747,6 @@ func splitList(raw string) []string {
 	return out
 }
 
-// sdkWorkers maps the CLI -parallel convention onto the wire workers
-// field, where 0 means "server default".
-func sdkWorkers(parallel int) int {
-	if parallel <= 1 {
-		return 0
-	}
-	return parallel
-}
-
 // remoteWatermark embeds over a running wmserver: the relation travels
 // inline, the certificate stays in the server's store, and the marked
 // copy lands in outPath.
@@ -791,7 +774,7 @@ func remoteWatermark(serverURL, in, spec, attr, secret, wmStr, domainPath, outPa
 		Domain:                domain,
 		FrequencyChannel:      withFreq,
 		MaxAlterationFraction: maxAlter,
-		Workers:               sdkWorkers(parallel),
+		Workers:               parallel,
 	})
 	if err != nil {
 		return err
@@ -819,7 +802,7 @@ func remoteVerify(serverURL, in, spec, recordID string, recordIDs []string, para
 	}
 	defer f.Close()
 	c := client.New(serverURL)
-	opts := client.StreamOptions{Schema: spec, Workers: sdkWorkers(parallel)}
+	opts := client.StreamOptions{Schema: spec, Workers: parallel}
 
 	if recordID != "" {
 		rep, err := c.VerifyStream(context.Background(), recordID, f, opts)

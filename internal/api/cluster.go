@@ -124,7 +124,8 @@ type ShardScanRequest struct {
 	// parameter derives deterministically from a record, which is what
 	// keeps worker-side scanners identical to the coordinator's.
 	Records []*core.Record `json:"records"`
-	// Workers overrides the worker node's per-shard scan parallelism.
+	// Workers overrides the worker node's per-shard scan parallelism
+	// (n >= 1 workers, 0 = the node's default), as in watermark.
 	Workers int `json:"workers,omitempty"`
 }
 

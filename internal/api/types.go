@@ -48,7 +48,9 @@ type WatermarkRequest struct {
 	// MaxAlterationFraction bounds total data change (0 = unlimited).
 	// Forces a sequential pass — the quality budget is order-dependent.
 	MaxAlterationFraction float64 `json:"max_alteration_fraction,omitempty"`
-	// Workers overrides the server's pipeline worker count for this job.
+	// Workers overrides the server's pipeline worker count for this job:
+	// n >= 1 workers, 0 (or absent) the server default. A negative count
+	// or one above the server's limit is rejected as invalid_argument.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -77,10 +79,11 @@ type VerifyRequest struct {
 	// which is itself the JSON certificate format.
 	Record *core.Record `json:"record,omitempty"`
 	// Schema/Format/Data carry the suspect relation, as in watermark.
-	Schema  string `json:"schema"`
-	Format  string `json:"format,omitempty"`
-	Data    string `json:"data"`
-	Workers int    `json:"workers,omitempty"`
+	Schema string `json:"schema"`
+	Format string `json:"format,omitempty"`
+	Data   string `json:"data"`
+	// Workers is the pipeline worker override, as in watermark.
+	Workers int `json:"workers,omitempty"`
 }
 
 // VerifyResponse is the verify reply.
@@ -111,10 +114,11 @@ type BatchVerifyRequest struct {
 	// means every stored certificate.
 	Records []string `json:"records,omitempty"`
 	// Schema/Format/Data carry the suspect relation, as in verify.
-	Schema  string `json:"schema"`
-	Format  string `json:"format,omitempty"`
-	Data    string `json:"data"`
-	Workers int    `json:"workers,omitempty"`
+	Schema string `json:"schema"`
+	Format string `json:"format,omitempty"`
+	Data   string `json:"data"`
+	// Workers is the pipeline worker override, as in watermark.
+	Workers int `json:"workers,omitempty"`
 }
 
 // BatchVerifyResult is one certificate's outcome in a batch reply.

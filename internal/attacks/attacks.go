@@ -104,8 +104,7 @@ func SubsetAlteration(r *relation.Relation, attr string, frac float64, dom *rela
 	if frac < 0 || frac > 1 {
 		return nil, fmt.Errorf("attacks: alteration fraction %v outside [0,1]", frac)
 	}
-	col, ok := r.Schema().Index(attr)
-	if !ok {
+	if _, ok := r.Schema().Index(attr); !ok {
 		return nil, fmt.Errorf("attacks: unknown attribute %q", attr)
 	}
 	if r.Len() == 0 {
@@ -124,7 +123,7 @@ func SubsetAlteration(r *relation.Relation, attr string, frac float64, dom *rela
 	out := r.Clone()
 	n := out.Len()
 	for _, row := range src.Sample(n, int(float64(n)*frac)) {
-		old := out.Tuple(row)[col]
+		old, _ := out.Value(row, attr) // attr checked above
 		nv := dom.Value(src.Intn(dom.Size()))
 		for nv == old {
 			nv = dom.Value(src.Intn(dom.Size()))
@@ -173,9 +172,9 @@ func BijectiveRemap(r *relation.Relation, attr string, src *stats.Source) (*rela
 		forward[dom.Value(i)] = "M_" + strconv.Itoa(p)
 	}
 	out := r.Clone()
-	col, _ := out.Schema().Index(attr)
 	for i := 0; i < out.Len(); i++ {
-		if err := out.SetValue(i, attr, forward[out.Tuple(i)[col]]); err != nil {
+		old, _ := out.Value(i, attr) // DomainOf checked attr
+		if err := out.SetValue(i, attr, forward[old]); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mark"
@@ -34,7 +35,7 @@ func duplicateKeySuspect(t *testing.T, f *auditFixture) (csvData, jsonlData stri
 	}
 	attr, _ := f.schema.Index("Item_Nbr")
 	for i := 0; i < 100; i++ {
-		dup := f.rel.Tuple(i).Clone()
+		dup := f.rel.Tuple(i)
 		dup[attr] = f.rel.Tuple(i + 1)[attr]
 		tuples = append(tuples, dup)
 	}
@@ -152,7 +153,10 @@ func TestDuplicateKeysScanIdenticallyOnEveryLayout(t *testing.T) {
 	}
 
 	for _, shardRows := range []int{1, 100, 8192} {
-		c := NewCoordinator(Config{ShardRows: shardRows})
+		// The test workers register once and never heartbeat, so the
+		// lease must outlast the whole loop: 1344 one-row shards take
+		// longer than the default 6 s TTL under the race detector.
+		c := NewCoordinator(Config{ShardRows: shardRows, TTL: time.Minute})
 		startTestWorker(t).register(c, "w1", 4)
 		startTestWorker(t).register(c, "w2", 4)
 		for _, kind := range []string{"csv-blocks", "jsonl-blocks"} {

@@ -88,7 +88,7 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 		workers = req.Workers
 	}
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
-		Workers:  normalizeWorkers(workers),
+		Workers:  workers,
 		Progress: opts.Progress,
 		Phases:   ph,
 	})
@@ -107,18 +107,6 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 		span.SetInt("rows", int64(tallies[0].Rows))
 	}
 	return resp, nil
-}
-
-// normalizeWorkers maps the Spec.Workers convention (0 sequential,
-// negative NumCPU) onto pipeline.Config.Workers (<= 0 means NumCPU).
-func normalizeWorkers(w int) int {
-	if w == 0 {
-		return 1
-	}
-	if w < 0 {
-		return 0
-	}
-	return w
 }
 
 // Agent keeps one worker joined to a coordinator: an initial registration

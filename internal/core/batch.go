@@ -11,8 +11,8 @@ import (
 
 // BatchOptions configures a VerifyBatch pass.
 type BatchOptions struct {
-	// Workers follows the Spec.Workers convention: 0 or 1 sequential,
-	// > 1 that many pipeline workers, negative means runtime.NumCPU().
+	// Workers follows the Spec.Workers convention: n >= 1 pipeline
+	// workers, 0 means runtime.NumCPU().
 	Workers int
 	// Cache, when non-nil, memoizes prepared certificate state across
 	// calls — the point of registering a catalog once and auditing many
@@ -142,7 +142,7 @@ func (p *BatchPrep) Reports(tallies []*mark.Tally) []BatchReport {
 func VerifyBatch(ctx context.Context, records []*Record, src relation.RowReader, opts BatchOptions) ([]BatchReport, error) {
 	prep := PrepareBatch(records, src.Schema(), opts)
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
-		Workers:  workerCount(opts.Workers),
+		Workers:  opts.Workers,
 		Progress: opts.Progress,
 	})
 	if err != nil {

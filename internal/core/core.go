@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/ecc"
 	"repro/internal/freq"
@@ -63,30 +62,17 @@ type Spec struct {
 	// MaxAlterationFraction bounds total data change; 0 means unlimited.
 	// Enforced through the Section 4.1 quality assessor.
 	MaxAlterationFraction float64
-	// Workers selects the execution engine for the key-association
-	// channel: 0 or 1 runs the sequential pass, >1 runs the chunked
-	// worker pool of internal/pipeline with that many workers, and any
-	// negative value means runtime.NumCPU(). Quality-gated embedding
-	// (MaxAlterationFraction > 0) is order-dependent and always runs
-	// sequentially.
+	// Workers sizes the key-association channel's pass, with the
+	// pipeline.Config.Workers convention every worker knob follows:
+	// n >= 1 runs n workers (1 is the sequential pass), 0 means
+	// runtime.NumCPU(). Quality-gated embedding (MaxAlterationFraction
+	// > 0) is order-dependent and always runs sequentially.
 	Workers int
 	// Progress, when non-nil, observes the embedding pass: it receives
 	// the tuple count of each completed block, concurrently from worker
 	// goroutines. Async jobs aggregate it into their tuples-processed
 	// counter.
 	Progress func(tuples int)
-}
-
-// workerCount normalizes a Spec.Workers-style knob: 0 → sequential,
-// negative → NumCPU.
-func workerCount(w int) int {
-	if w == 0 {
-		return 1
-	}
-	if w < 0 {
-		return runtime.NumCPU()
-	}
-	return w
 }
 
 // Stats reports what Watermark changed.
@@ -177,7 +163,7 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 		Assessor: assessor,
 	}
 	mst, err := pipeline.Embed(ctx, r, wm, opts, pipeline.Config{
-		Workers:  workerCount(s.Workers),
+		Workers:  s.Workers,
 		Progress: s.Progress,
 	})
 	if err != nil {
@@ -254,8 +240,8 @@ func (rec *Record) Verify(suspect *relation.Relation) (Report, error) {
 
 // VerifyOptions parameterises VerifyWith.
 type VerifyOptions struct {
-	// Workers follows the Spec.Workers convention (0/1 sequential,
-	// negative = NumCPU).
+	// Workers follows the Spec.Workers convention (n >= 1 workers,
+	// 0 = NumCPU).
 	Workers int
 	// Cache, when non-nil, reuses prepared certificate state across
 	// verifies of the same record (see ScannerCache).
@@ -285,7 +271,7 @@ func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o Ver
 	}
 	want := p.want
 
-	cfg := pipeline.Config{Workers: workerCount(o.Workers)}
+	cfg := pipeline.Config{Workers: o.Workers}
 	working := suspect
 	det, err := pipeline.Detect(ctx, working, len(want), p.opts, cfg)
 	if err != nil {

@@ -82,8 +82,7 @@ type EmbedStats struct {
 // minimum number of tuples from surplus values to deficit values.
 func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, error) {
 	var st EmbedStats
-	col, ok := r.Schema().Index(attr)
-	if !ok {
+	if _, ok := r.Schema().Index(attr); !ok {
 		return st, fmt.Errorf("freq: attribute %q not in schema", attr)
 	}
 	if len(wm) == 0 {
@@ -159,7 +158,7 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 	}
 	advance()
 	for row := 0; row < r.Len() && di < len(deficits); row++ {
-		v := r.Tuple(row)[col]
+		v, _ := r.Value(row, attr) // attr checked above
 		if surplus[v] <= 0 {
 			continue
 		}

@@ -91,13 +91,12 @@ func RecoverMapping(suspect *relation.Relation, attr string, reference Profile) 
 // the number of tuples rewritten. Values absent from the mapping are left
 // in place (and will count as UnknownValues at detection).
 func ApplyMapping(r *relation.Relation, attr string, mapping map[string]string) (int, error) {
-	col, ok := r.Schema().Index(attr)
-	if !ok {
+	if _, ok := r.Schema().Index(attr); !ok {
 		return 0, fmt.Errorf("freq: attribute %q not in schema", attr)
 	}
 	changed := 0
 	for i := 0; i < r.Len(); i++ {
-		old := r.Tuple(i)[col]
+		old, _ := r.Value(i, attr) // attr checked above
 		if nv, ok := mapping[old]; ok && nv != old {
 			if err := r.SetValue(i, attr, nv); err != nil {
 				return changed, err

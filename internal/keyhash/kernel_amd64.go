@@ -111,7 +111,7 @@ func paddedBlocks(prefixLen, keyLen, vLen int) int {
 
 // fillPadded assembles the fully padded message len(k) ‖ k ‖ v ‖ k ‖
 // 0x80 ‖ 0… ‖ len into a lane buffer, exactly as SHA-256 would pad it.
-func fillPadded[V ~string | ~[]byte](buf *[laneBytes]byte, prefix []byte, key Key, v V, blocks int) {
+func fillPadded(buf *[laneBytes]byte, prefix []byte, key Key, v []byte, blocks int) {
 	n := copy(buf[:], prefix)
 	n += copy(buf[n:], v)
 	n += copy(buf[n:], key)
@@ -121,38 +121,25 @@ func fillPadded[V ~string | ~[]byte](buf *[laneBytes]byte, prefix []byte, key Ke
 	binary.BigEndian.PutUint64(buf[end-8:end], uint64(n)*8)
 }
 
-// HashMany pairs values of equal padded block count and hashes each pair
-// in one two-lane assembly call. Odd tails run through the scalar
+// HashColumn pairs values of equal padded block count and hashes each
+// pair in one two-lane assembly call. Odd tails run through the scalar
 // Hasher; values beyond the lane width use the streaming construct. The
 // digests are bit-identical to Hash/HashString in every case.
-func (m *multiKernel) HashMany(values []string, out []Digest) {
-	m.ctr.tick(len(values))
-	hashBatch2[string, strVals](m, strVals(values), out)
-}
-
-// HashColumn hashes a block column's arena view, same pairing strategy.
 func (m *multiKernel) HashColumn(data []byte, offs []int32, out []Digest) {
-	if len(offs) == 0 {
-		return
-	}
-	m.ctr.tick(len(offs) - 1)
-	hashBatch2[[]byte, colVals](m, colVals{data: data, offs: offs}, out)
-}
-
-// hashBatch2 is the two-lane batching core over either value shape.
-func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Digest) {
-	n := src.count()
+	n := len(offs) - 1
 	if n <= 0 {
 		return
 	}
+	m.ctr.tick(n)
 	_ = out[:n] // one bounds check up front
+	at := func(i int) []byte { return data[offs[i]:offs[i+1]] }
 	var b0, b1 [laneBytes]byte
 	pending := [3]int{-1, -1, -1} // pending value index per block count
 	for i := 0; i < n; i++ {
-		v := src.at(i)
+		v := at(i)
 		nb := paddedBlocks(len(m.prefix), len(m.key), len(v))
 		if nb == 0 {
-			out[i] = hashFull(m.key, v)
+			out[i] = Hash(m.key, v)
 			continue
 		}
 		j := pending[nb]
@@ -161,7 +148,7 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 			continue
 		}
 		pending[nb] = -1
-		fillPadded(&b0, m.prefix, m.key, src.at(j), nb)
+		fillPadded(&b0, m.prefix, m.key, at(j), nb)
 		fillPadded(&b1, m.prefix, m.key, v, nb)
 		s0, s1 := sha256IV, sha256IV
 		sha256block2(&s0, &s1, &b0[0], &b1[0], nb)
@@ -170,7 +157,7 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 	}
 	for _, j := range pending[1:] {
 		if j >= 0 {
-			out[j] = hashAny(m.h, src.at(j))
+			out[j] = m.h.Hash(at(j))
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 //
 //  1. In internal/pipeline and internal/cluster, any loop that crosses
 //     scan-block or row boundaries — a loop whose body calls
-//     mark.ScanBlock / mark.EmbedBlock / mark.ScanColumns or reads from
-//     a relation.RowReader or BlockReader — must contain a cancellation
+//     mark.ScanColumns / mark.EmbedColumns or reads from a
+//     relation.RowReader or BlockReader — must contain a cancellation
 //     point: a
 //     ctx.Err()/ctx.Done() check, a channel receive (the stop-latch
 //     pattern), or a call into a local helper that performs one.
@@ -91,9 +91,8 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 		if !ok || found {
 			return
 		}
-		if methodOn(info, call, "repro/internal/mark", "ScanBlock") ||
-			methodOn(info, call, "repro/internal/mark", "EmbedBlock") ||
-			methodOn(info, call, "repro/internal/mark", "ScanColumns") {
+		if methodOn(info, call, "repro/internal/mark", "ScanColumns") ||
+			methodOn(info, call, "repro/internal/mark", "EmbedColumns") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "Read",

@@ -12,10 +12,10 @@ import (
 	"repro/internal/relation"
 )
 
-func scanNoCancel(sc *mark.Scanner, r *relation.Relation, t *mark.Tally) error {
+func embedNoCancel(em *mark.Embedder, r *relation.Relation, cs *mark.ChunkStats) error {
 	var bs mark.BlockScratch
-	for lo := 0; lo < r.Len(); lo += 128 { // want `loop crosses scan-block/row boundaries`
-		if err := sc.ScanBlock(r, lo, min(lo+128, r.Len()), t, &bs); err != nil {
+	for lo := 0; lo < r.Len(); lo += relation.BlockRows { // want `loop crosses scan-block/row boundaries`
+		if err := em.EmbedColumns(r, lo, min(lo+relation.BlockRows, r.Len()), cs, &bs); err != nil {
 			return err
 		}
 	}
@@ -32,11 +32,11 @@ func readNoCancel(src relation.RowReader) error {
 
 func scanWithCancel(ctx context.Context, sc *mark.Scanner, r *relation.Relation, t *mark.Tally) error {
 	var bs mark.BlockScratch
-	for lo := 0; lo < r.Len(); lo += 128 {
+	for i := 0; i < r.NumBlocks(); i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := sc.ScanBlock(r, lo, min(lo+128, r.Len()), t, &bs); err != nil {
+		if err := sc.ScanColumns(r.Block(i), t, &bs); err != nil {
 			return err
 		}
 	}

@@ -11,23 +11,24 @@ import (
 
 // Chunked embedding and detection hooks. Every per-tuple decision in the
 // codec — fitness, bit position, value index — depends only on the tuple's
-// own key, so a relation can be partitioned into row ranges and processed
-// independently as long as the global parameters (|wm_data|, the domain,
-// the encoded wm_data) are fixed once up front. Embedder and Scanner fix
-// them; EmbedRange/Scan process a range; the merge operations recombine
-// partial results into exactly what the sequential pass would have
-// produced. Embed and Detect are themselves implemented as the one-chunk
-// special case, so the sequential and chunked paths cannot drift apart.
+// own key, so a relation can be partitioned into ranges of its stored
+// blocks and processed independently as long as the global parameters
+// (|wm_data|, the domain, the encoded wm_data) are fixed once up front.
+// Embedder and Scanner fix them; EmbedColumns/EmbedRange and ScanColumns
+// process a range or a block; the merge operations recombine partial
+// results into exactly what the sequential pass would have produced.
+// Embed and Detect are themselves implemented as the one-chunk special
+// case, so the sequential and chunked paths cannot drift apart.
 //
 // internal/pipeline builds its worker pool on these hooks.
 
 // Embedder is a prepared embedding pass: options resolved, bandwidth
 // fixed, wm_data encoded. It is immutable after construction and safe for
-// concurrent use by multiple goroutines calling EmbedRange on disjoint
-// row ranges of the same relation.
+// concurrent use by multiple goroutines calling EmbedRange or
+// EmbedColumns on row ranges of the same relation that share no stored
+// block.
 type Embedder struct {
 	opts         Options
-	k1s          string // opts.K1 as a string: the memo lane key, converted once
 	keyCol       int
 	attrCol      int
 	dom          *relation.Domain
@@ -57,7 +58,6 @@ func newEmbedder(opts Options, keyCol, attrCol int, dom *relation.Domain, bw int
 	}
 	return &Embedder{
 		opts:    opts,
-		k1s:     string(opts.K1),
 		keyCol:  keyCol,
 		attrCol: attrCol,
 		dom:     dom,
@@ -102,33 +102,32 @@ type ChunkStats struct {
 	Touched []bool
 }
 
-// EmbedRange embeds rows [lo, hi) of r, walking the range in
-// DefaultBlockRows-sized blocks through EmbedBlock (one scratch for the
-// whole call, so memory stays bounded on arbitrarily large ranges). It
-// writes only the watermarked attribute of rows inside the range, so
-// concurrent calls on disjoint ranges of the same relation are safe
-// provided (a) Options.Assessor, Options.SkipRow and Options.OnAlter
-// are either nil or themselves concurrency-safe (the quality assessor's
-// shared alteration budget is order-dependent), and (b) the watermarked
+// EmbedRange embeds rows [lo, hi) of r, walking the range one stored
+// block at a time through EmbedColumns (one scratch for the whole call).
+// It writes only the watermarked attribute of rows inside the range, so
+// concurrent calls on ranges of the same relation are safe provided (a)
+// the ranges share no stored block (relation.BlockRows-aligned bounds),
+// (b) Options.Assessor, Options.SkipRow and Options.OnAlter are either
+// nil or themselves concurrency-safe (the quality assessor's shared
+// alteration budget is order-dependent), and (c) the watermarked
 // attribute is NOT the relation's primary key — rewriting key values
 // mutates the shared key index. internal/pipeline falls back to a
-// sequential pass in both cases.
+// sequential pass in cases (b) and (c).
 func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, error) {
 	cs := ChunkStats{Touched: make([]bool, e.bw)}
 	cs.Bandwidth = e.bw
-	if err := checkRange(r, lo, hi); err != nil {
-		return cs, err
+	if lo < 0 || hi > r.Len() || lo > hi {
+		return cs, fmt.Errorf("mark: row range [%d, %d) out of bounds (N=%d)", lo, hi, r.Len())
 	}
 	var bs BlockScratch
-	for blockLo := lo; ; blockLo += DefaultBlockRows {
-		blockHi := min(blockLo+DefaultBlockRows, hi)
-		if err := e.EmbedBlock(r, blockLo, blockHi, &cs, &bs); err != nil {
+	for blockLo := lo; blockLo < hi; {
+		blockHi := min(blockLo-blockLo%relation.BlockRows+relation.BlockRows, hi)
+		if err := e.EmbedColumns(r, blockLo, blockHi, &cs, &bs); err != nil {
 			return cs, err
 		}
-		if blockHi == hi {
-			return cs, nil
-		}
+		blockLo = blockHi
 	}
+	return cs, nil
 }
 
 // Add folds another range's result into c (order-independent): counters
@@ -169,8 +168,8 @@ func MergeChunks(chunks ...ChunkStats) EmbedStats {
 
 // Scanner is a prepared detection pass: options resolved, bandwidth fixed,
 // keyed-hash contexts built. It is immutable after construction and safe
-// for concurrent use by multiple goroutines scanning disjoint row ranges
-// into disjoint tallies (merged afterwards in scan order, see Merge).
+// for concurrent use by multiple goroutines scanning disjoint blocks into
+// disjoint tallies (merged afterwards in scan order, see Merge).
 type Scanner struct {
 	opts         Options
 	k1s          string // opts.K1 as a string: the memo lane key, converted once
@@ -276,29 +275,7 @@ func (t *Tally) Reset() {
 	}
 }
 
-// Scan reads rows [lo, hi) of r and accumulates their votes into t,
-// walking the range in DefaultBlockRows-sized blocks through ScanBlock
-// (one scratch for the whole call). The votes are bit-identical to a
-// tuple-at-a-time pass over the same rows; the relation is never modified.
-// Concurrent Scan calls must use distinct tallies; merge them afterwards
-// with Tally.Merge.
-func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {
-	if err := checkRange(r, lo, hi); err != nil {
-		return err
-	}
-	var bs BlockScratch
-	for blockLo := lo; ; blockLo += DefaultBlockRows {
-		blockHi := min(blockLo+DefaultBlockRows, hi)
-		if err := s.ScanBlock(r, blockLo, blockHi, t, &bs); err != nil {
-			return err
-		}
-		if blockHi == hi {
-			return nil
-		}
-	}
-}
-
-// Merge folds a tally covering a LATER row range into t. Vote counts are
+// Merge folds a tally covering LATER rows into t. Vote counts are
 // commutative; the Last column is not — merge tallies in scan order so
 // that LastWriteWins aggregation reproduces the sequential pass exactly.
 func (t *Tally) Merge(later *Tally) {

@@ -84,10 +84,12 @@ func TestScannerChunkedEqualsSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			var total *Tally
-			for _, b := range chunkBoundaries(r.Len(), chunks) {
+			for _, b := range chunkBoundaries(r.NumBlocks(), chunks) {
 				part := sc.NewTally()
-				if err := sc.Scan(r, b[0], b[1], part); err != nil {
-					t.Fatal(err)
+				for i := b[0]; i < b[1]; i++ {
+					if err := sc.ScanColumns(r.Block(i), part, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if total == nil {
 					total = part

@@ -3,6 +3,7 @@ package mark
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/keyhash"
@@ -17,12 +18,29 @@ func fillBlock(blk *relation.Block, r *relation.Relation, lo, hi int) {
 	}
 }
 
-// TestScanColumnsMatchesScanBlock is the columnar equivalence property:
-// for random relations and random partitions (size-1 blocks and ragged
-// tails included), ScanColumns over columnar blocks accumulates exactly
-// the tally — and exactly the report, under both vote aggregations —
-// that ScanBlock and the ScanTuple loop produce.
-func TestScanColumnsMatchesScanBlock(t *testing.T) {
+// scanRows scans rows [lo, hi) of r into t through ScanColumns over
+// pooled blocks of at most relation.BlockRows rows — a scan of an
+// arbitrary row range, as a shard or chunk boundary cuts it.
+func scanRows(t testing.TB, sc *Scanner, r *relation.Relation, lo, hi int, tally *Tally) {
+	t.Helper()
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
+	var bs BlockScratch
+	for blockLo := lo; blockLo < hi; blockLo += relation.BlockRows {
+		fillBlock(blk, r, blockLo, min(blockLo+relation.BlockRows, hi))
+		if err := sc.ScanColumns(blk, tally, &bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScanColumnsMatchesScanTuple is the columnar equivalence property
+// over pooled blocks: for random relations and random partitions
+// (size-1 blocks and ragged tails included), ScanColumns over one pooled
+// block refilled per range accumulates exactly the tally — and exactly
+// the report, under both vote aggregations — that the ScanTuple loop
+// produces.
+func TestScanColumnsMatchesScanTuple(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		n := 1 + rng.Intn(3000)
@@ -38,11 +56,7 @@ func TestScanColumnsMatchesScanBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := sc.NewTally()
-			for j := 0; j < r.Len(); j++ {
-				sc.ScanTuple(r.Tuple(j), want)
-			}
-
+			want := scanTupleLoop(sc, r)
 			got := sc.NewTally()
 			var bs BlockScratch
 			blk := relation.GetBlock(r.Schema())
@@ -66,11 +80,12 @@ func TestScanColumnsMatchesScanBlock(t *testing.T) {
 	}
 }
 
-// TestScanColumnsInterleavedWithScanBlock alternates the columnar and
-// row-range entry points through ONE scratch — a pooled block between
-// two row ranges and vice versa — proving the identity tracking
-// invalidates across modes instead of replaying a stale memo.
-func TestScanColumnsInterleavedWithScanBlock(t *testing.T) {
+// TestScanColumnsInterleavedStoredAndPooled alternates stored blocks and
+// a pooled block through ONE scratch — and rewrites a stored block's key
+// column between two scans of it — proving the (pointer, generation)
+// identity tracking invalidates the memo instead of replaying stale
+// digests.
+func TestScanColumnsInterleavedStoredAndPooled(t *testing.T) {
 	r := blockTestRelation(t, 2000, 31)
 	opts := Options{
 		Attr: "cat", K1: keyhash.NewKey("mix-k1"), K2: keyhash.NewKey("mix-k2"),
@@ -80,30 +95,51 @@ func TestScanColumnsInterleavedWithScanBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sc.NewTally()
-	if err := sc.Scan(r, 0, r.Len(), want); err != nil {
-		t.Fatal(err)
-	}
+	want := scanTupleLoop(sc, r)
 
 	got := sc.NewTally()
 	var bs BlockScratch
 	blk := relation.GetBlock(r.Schema())
-	rng := rand.New(rand.NewSource(33))
-	for i, p := range randomPartition(rng, r.Len()) {
-		if i%2 == 0 {
-			fillBlock(blk, r, p[0], p[1])
+	defer relation.PutBlock(blk)
+	for b := 0; b < r.NumBlocks(); b++ {
+		lo := b * relation.BlockRows
+		if b%2 == 0 {
+			fillBlock(blk, r, lo, lo+r.Block(b).Rows())
 			if err := sc.ScanColumns(blk, got, &bs); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
-				t.Fatal(err)
-			}
+		} else if err := sc.ScanColumns(r.Block(b), got, &bs); err != nil {
+			t.Fatal(err)
 		}
 	}
-	relation.PutBlock(blk)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("interleaved ScanColumns/ScanBlock diverged from sequential scan")
+		t.Fatal("interleaved stored/pooled scan diverged from the ScanTuple loop")
+	}
+
+	// Scan stored block 0, rewrite every key in it, scan it again
+	// through the same scratch: the second scan must hash the new keys.
+	first := sc.NewTally()
+	if err := sc.ScanColumns(r.Block(0), first, &bs); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < r.Block(0).Rows(); j++ {
+		if err := r.SetValue(j, "id", "rekeyed-"+strconv.Itoa(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again := sc.NewTally()
+	if err := sc.ScanColumns(r.Block(0), again, &bs); err != nil {
+		t.Fatal(err)
+	}
+	oracle := sc.NewTally()
+	for j := 0; j < r.Block(0).Rows(); j++ {
+		sc.ScanTuple(r.Tuple(j), oracle)
+	}
+	if !reflect.DeepEqual(oracle, again) {
+		t.Fatal("scan after a key rewrite replayed stale digests")
+	}
+	if reflect.DeepEqual(first, again) {
+		t.Fatal("key rewrite changed no vote — test is vacuous")
 	}
 }
 
@@ -133,10 +169,7 @@ func TestScanColumnsSharedScratchAcrossScanners(t *testing.T) {
 			t.Fatal(err)
 		}
 		scanners[i] = sc
-		want[i] = sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), want[i]); err != nil {
-			t.Fatal(err)
-		}
+		want[i] = scanTupleLoop(sc, r)
 	}
 
 	got := make([]*Tally, len(scanners))

@@ -42,17 +42,21 @@ func (d DetectReport) MatchFraction(want ecc.Bits) float64 {
 // Detection never needs the original relation — only the keys, e, the
 // code, and the attribute's value domain.
 //
-// Detect is the one-chunk special case of the Scanner/Scan/Report hooks
-// in chunk.go; internal/pipeline runs the same pass across multiple
-// ranges concurrently and merges the tallies.
+// Detect is the one-chunk special case of the Scanner/ScanColumns/Report
+// hooks in chunk.go and block.go, run over r's stored blocks in order;
+// internal/pipeline runs the same pass across multiple block ranges
+// concurrently and merges the tallies.
 func Detect(r *relation.Relation, wmLen int, opts Options) (DetectReport, error) {
 	s, err := NewScanner(r, wmLen, opts)
 	if err != nil {
 		return DetectReport{}, err
 	}
 	t := s.NewTally()
-	if err := s.Scan(r, 0, r.Len(), t); err != nil {
-		return DetectReport{}, err
+	var bs BlockScratch
+	for i := 0; i < r.NumBlocks(); i++ {
+		if err := s.ScanColumns(r.Block(i), t, &bs); err != nil {
+			return DetectReport{}, err
+		}
 	}
 	return s.Report(t)
 }

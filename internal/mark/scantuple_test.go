@@ -1,12 +1,14 @@
 package mark
 
 import (
+	"errors"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"repro/internal/ecc"
 	"repro/internal/keyhash"
+	"repro/internal/quality"
 	"repro/internal/relation"
 )
 
@@ -16,8 +18,8 @@ import (
 // the unbatched keyed hash (keyhash.Hash), read the value-index parity,
 // tally it. tup must be in the schema attribute order the scanner was
 // prepared against. Production paths all scan block-at-a-time, so this
-// is test-only: the oracle the block engines are proven against
-// (TestScanBlockMatchesScanTuple, FuzzScanBlockEquivalence).
+// is test-only: the oracle ScanColumns is proven against
+// (TestScanBlockMatchesScanTuple, FuzzScanColumnsEquivalence).
 func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 	t.Rows++
 	keyVal := []byte(tup[s.keyCol])
@@ -40,11 +42,73 @@ func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 	t.Last[pos] = bit
 }
 
+// EmbedTuple embeds row row of r into cs — the reference definition of
+// the per-tuple work EmbedColumns batches, written without it: fitness
+// and bit position from the unbatched keyed hash (keyhash.Hash) over the
+// row's own key, the ledger check, the value-index choice, the rewrite
+// through the quality gate, the counters and the OnAlter hook, in that
+// order. Test-only: the oracle of TestEmbedBlockMatchesSizeOne,
+// TestEmbedBlockOrderDependentLedger and FuzzEmbedColumnsEquivalence.
+func (e *Embedder) EmbedTuple(r *relation.Relation, row int, cs *ChunkStats) error {
+	cs.Bandwidth = e.bw
+	if cs.Touched == nil {
+		cs.Touched = make([]bool, e.bw)
+	}
+	cs.Tuples++
+	tup := r.Tuple(row)
+	keyVal := []byte(tup[e.keyCol])
+	d1 := keyhash.Hash(e.opts.K1, keyVal)
+	if !keyhash.Fit(d1, e.opts.E) {
+		return nil
+	}
+	cs.Fit++
+	if e.opts.SkipRow != nil && e.opts.SkipRow(row) {
+		cs.SkippedLedger++
+		return nil
+	}
+	pos := int(keyhash.Hash(e.opts.K2, keyVal).Mod(uint64(e.bw)))
+	newVal := e.dom.Value(keyhash.PairIndex(d1.Uint64At(1), e.dom.Size(), uint64(e.wmData[pos])))
+	if tup[e.attrCol] == newVal {
+		cs.Unchanged++
+		cs.Touched[pos] = true
+		return nil
+	}
+	if e.opts.Assessor != nil {
+		if err := e.opts.Assessor.Apply(r, row, e.opts.Attr, newVal); err != nil {
+			var verr *quality.ViolationError
+			if errors.As(err, &verr) {
+				cs.SkippedQuality++
+				return nil
+			}
+			return err
+		}
+	} else if err := r.SetValue(row, e.opts.Attr, newVal); err != nil {
+		return err
+	}
+	cs.Altered++
+	cs.Touched[pos] = true
+	if e.opts.OnAlter != nil {
+		e.opts.OnAlter(row)
+	}
+	return nil
+}
+
+// scanStored scans every stored block of r, in order, into t through
+// ScanColumns — the materialized detection loop of mark.Detect.
+func scanStored(t testing.TB, sc *Scanner, r *relation.Relation, tally *Tally, bs *BlockScratch) {
+	t.Helper()
+	for i := 0; i < r.NumBlocks(); i++ {
+		if err := sc.ScanColumns(r.Block(i), tally, bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestScanTupleMatchesScan proves the per-tuple entry point is the vote
-// kernel Scan is built from: feeding every tuple through ScanTuple —
+// kernel the block scan batches: feeding every tuple through ScanTuple —
 // including split across multiple tallies merged in scan order — yields
-// the same tally and the same decoded report as one Scan over the whole
-// relation, for both vote-aggregation policies.
+// the same tally and the same decoded report as ScanColumns over the
+// relation's stored blocks, for both vote-aggregation policies.
 func TestScanTupleMatchesScan(t *testing.T) {
 	r := scanTupleTestRelation(t)
 	wm := ecc.MustParseBits("1011001110")
@@ -62,9 +126,7 @@ func TestScanTupleMatchesScan(t *testing.T) {
 		}
 
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
-			t.Fatal(err)
-		}
+		scanStored(t, sc, r, whole, nil)
 
 		// One tuple at a time into a single tally.
 		single := sc.NewTally()

@@ -75,9 +75,7 @@ func TestTallyWireRoundTripMergesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
-			t.Fatal(err)
-		}
+		scanStored(t, sc, r, whole, nil)
 
 		for trial := 0; trial < 25; trial++ {
 			// Random contiguous partition of [0, len) into 1..8 shards.
@@ -90,9 +88,7 @@ func TestTallyWireRoundTripMergesIdentically(t *testing.T) {
 			total := sc.NewTally()
 			for i := 0; i+1 < len(cuts); i++ {
 				part := sc.NewTally()
-				if err := sc.Scan(r, cuts[i], cuts[i+1], part); err != nil {
-					t.Fatal(err)
-				}
+				scanRows(t, sc, r, cuts[i], cuts[i+1], part)
 				data, err := json.Marshal(part.Wire())
 				if err != nil {
 					t.Fatal(err)
@@ -150,9 +146,7 @@ func TestTallyWireOutOfOrderShardCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
-			t.Fatal(err)
-		}
+		scanStored(t, sc, r, whole, nil)
 
 		const shardRows = 97 // ragged tail on purpose
 		var ranges [][2]int
@@ -164,9 +158,7 @@ func TestTallyWireOutOfOrderShardCompletion(t *testing.T) {
 		parked := make([]*Tally, len(ranges))
 		for _, i := range rng.Perm(len(ranges)) {
 			part := sc.NewTally()
-			if err := sc.Scan(r, ranges[i][0], ranges[i][1], part); err != nil {
-				t.Fatal(err)
-			}
+			scanRows(t, sc, r, ranges[i][0], ranges[i][1], part)
 			decoded, err := part.Wire().Tally()
 			if err != nil {
 				t.Fatal(err)

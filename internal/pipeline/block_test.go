@@ -89,8 +89,10 @@ func TestDetectBlockRowsEquivalence(t *testing.T) {
 	}
 }
 
-// TestEmbedBlockRowsEquivalence proves embedding emits identical
-// relations and statistics across block sizes.
+// TestEmbedBlockRowsEquivalence proves embedding emits the relation and
+// statistics of mark.Embed whatever the block, chunk and worker
+// settings: BlockRows sizes only streaming scans, and chunks round up to
+// whole stored blocks.
 func TestEmbedBlockRowsEquivalence(t *testing.T) {
 	schema := relation.MustSchema([]relation.Attribute{
 		{Name: "id", Type: relation.TypeString},
@@ -111,24 +113,28 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		E: 4, Domain: dom, BandwidthOverride: 900,
 	}
 
-	var wantRel *relation.Relation
-	var wantStats mark.EmbedStats
-	for i, blockRows := range []int{0, 1, 7, 512, 1 << 20} {
-		cfg := Config{Workers: 4, ChunkRows: 600, BlockRows: blockRows}
+	wantRel := base.Clone()
+	wantStats, err := mark.Embed(wantRel, wm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Workers: 4, ChunkRows: 600},
+		{Workers: 4, ChunkRows: 600, BlockRows: 1},
+		{Workers: 3, ChunkRows: 1, BlockRows: 7},
+		{Workers: 2, ChunkRows: 1 << 20, BlockRows: 512},
+		{Workers: 1, BlockRows: 1 << 20},
+	} {
 		r := base.Clone()
 		st, err := Embed(context.Background(), r, wm, opts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			wantRel, wantStats = r, st
-			continue
-		}
 		if !r.Equal(wantRel) {
-			t.Fatalf("blockRows %d: embedded relation diverged", blockRows)
+			t.Fatalf("%+v: embedded relation diverged", cfg)
 		}
 		if st != wantStats {
-			t.Fatalf("blockRows %d: stats diverged: %+v vs %+v", blockRows, st, wantStats)
+			t.Fatalf("%+v: stats diverged: %+v vs %+v", cfg, st, wantStats)
 		}
 	}
 }
@@ -137,7 +143,7 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 // nothing: a scanner fleet where several certificates share a fitness
 // key (one owner, many certificates — the memo's fast path) tallies
 // exactly like each scanner scanning the stream alone, and exactly like
-// its memo-less materialized pass (Scanner.Scan over the relation).
+// its materialized pass (ScanColumns over the relation's stored blocks).
 func TestScanManyMemoEquivalence(t *testing.T) {
 	r, dom, csv, opts, _ := blockEngineRelation(t, 6000)
 	_ = dom
@@ -178,11 +184,7 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(together[i], alone[0]) {
 			t.Fatalf("scanner %d: memo-shared tally diverged from solo scan", i)
 		}
-		materialized := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), materialized); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(together[i], materialized) {
+		if !reflect.DeepEqual(together[i], storedTally(t, sc, r)) {
 			t.Fatalf("scanner %d: streamed tally diverged from the materialized pass", i)
 		}
 	}
@@ -240,4 +242,18 @@ func TestProgressCountsTuples(t *testing.T) {
 	if got := n.Load(); got != int64(r.Len()) {
 		t.Fatalf("Embed progress %d, want %d", got, r.Len())
 	}
+}
+
+// storedTally is the materialized pass of one scanner: ScanColumns over
+// r's stored blocks, in order.
+func storedTally(t testing.TB, sc *mark.Scanner, r *relation.Relation) *mark.Tally {
+	t.Helper()
+	tally := sc.NewTally()
+	var bs mark.BlockScratch
+	for i := 0; i < r.NumBlocks(); i++ {
+		if err := sc.ScanColumns(r.Block(i), tally, &bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tally
 }

@@ -10,17 +10,18 @@ import (
 	"repro/internal/relation"
 )
 
-// The columnar streaming engine behind ScanMany. The reader goroutine
-// fills pooled columnar blocks straight from the input bytes (no per-row
+// The streaming engine behind ScanMany. The reader goroutine fills
+// pooled columnar blocks straight from the input bytes (no per-row
 // tuples, no per-field strings), groups them into chunk-sized jobs, and
 // the worker pool votes over each block's arena bytes through
-// Scanner.ScanColumns. Everything cycles: blocks return to the relation
-// block pool after scanning, per-chunk tally groups and job shells
-// return to free lists after collection, and each worker keeps one
-// BlockScratch for its lifetime — steady state performs zero allocations
-// per row. Tallies merge in stream order, so results (including
-// LastWriteWins) are bit-identical to the materialized pass
-// (mark.Detect, pipeline.Detect) over the same rows.
+// Scanner.ScanColumns — the same kernel the materialized pass
+// (mark.Detect, pipeline.Detect) runs over a relation's stored blocks.
+// Everything cycles: blocks return to the relation block pool after
+// scanning, per-chunk tally groups and job shells return to free lists
+// after collection, and each worker keeps one BlockScratch for its
+// lifetime — steady state performs zero allocations per row. Tallies
+// merge in stream order, so results (including LastWriteWins) are
+// bit-identical to the materialized pass over the same rows.
 
 // blockJob is one group of columnar blocks travelling through the pool,
 // plus the rendezvous channel its per-scanner tallies come back on.

@@ -40,7 +40,7 @@ func blockStreamScanners(t testing.TB, r *relation.Relation, dom *relation.Domai
 // ScanMany fed by the zero-copy CSV and JSONL block readers, and by a
 // materialized relation through the relation.Blocks adapter, produces
 // for every scanner a tally bit-identical to the materialized pass
-// (Scanner.Scan over the relation) — for both vote aggregations and
+// (ScanColumns over the relation's stored blocks) — for both vote aggregations and
 // across worker counts, chunk sizes and block sizes (size-1 blocks,
 // ragged tails, and a block larger than the whole stream included).
 func TestScanManyBlockReaderEquivalence(t *testing.T) {
@@ -57,10 +57,7 @@ func TestScanManyBlockReaderEquivalence(t *testing.T) {
 		scanners := blockStreamScanners(t, r, dom, agg)
 		want := make([]*mark.Tally, len(scanners))
 		for i, sc := range scanners {
-			want[i] = sc.NewTally()
-			if err := sc.Scan(r, 0, r.Len(), want[i]); err != nil {
-				t.Fatal(err)
-			}
+			want[i] = storedTally(t, sc, r)
 		}
 		for _, cfg := range []Config{
 			{Workers: 1},

@@ -1,35 +1,34 @@
 // Package pipeline executes watermark embedding and detection as chunked,
 // worker-pool passes. The codec of internal/mark decides everything per
 // tuple from the tuple's own key, so a relation partitions cleanly into
-// contiguous key-ranges that workers process independently on
-// runtime.NumCPU() goroutines; per-chunk results merge into exactly what
-// the sequential pass would produce (bit-identical recovered watermarks —
-// see the equivalence tests). stream.go runs detection (ScanMany) over
-// relation.RowReader streams, so a suspect dataset never needs to be
-// fully materialized; embedding always runs over a materialized
-// relation.
+// contiguous ranges of its stored blocks that workers process
+// independently on runtime.NumCPU() goroutines; per-chunk results merge
+// into exactly what the sequential pass would produce (bit-identical
+// recovered watermarks — see the equivalence tests). stream.go runs
+// detection (ScanMany) over relation.RowReader streams, so a suspect
+// dataset never needs to be fully materialized; embedding always runs
+// over a materialized relation.
 //
-// Every path feeds fixed-size tuple blocks (Config.BlockRows) through
-// the batched keyed-hash kernels rather than looping tuple-at-a-time:
-// the materialized passes through mark.ScanBlock/EmbedBlock, streaming
-// detection through the columnar engine of blockstream.go
-// (mark.ScanColumns over relation.Block arenas), which runs its
-// certificate loop inside the block loop so a block's keys and digests
-// stay cache-resident across all certificates of a batch audit.
+// Every path feeds columnar blocks through the batched keyed-hash
+// kernels rather than looping tuple-at-a-time: the materialized passes
+// run mark.ScanColumns/EmbedColumns over the blocks a relation.Relation
+// stores, and streaming detection runs mark.ScanColumns over pooled
+// blocks a reader fills (blockstream.go), with its certificate loop
+// inside the block loop so a block's keys and digests stay
+// cache-resident across all certificates of a batch audit.
 // Config.Progress observes the pass at block granularity — the
 // tuples-scanned counter async jobs report.
 //
 // This is the execution engine behind core.Spec.Workers, wmtool -parallel
 // and the wmserver handlers.
 //
-// Every entry point takes a context.Context and stops between chunks when
+// Every entry point takes a context.Context and stops between blocks when
 // it is cancelled — the mechanism by which an HTTP client disconnect, an
 // async-job cancellation (internal/jobs) or a server shutdown actually
 // halts scan work mid-pass instead of burning CPU to the end of the
-// dataset. Cancellation is chunk-granular: a worker finishes the chunk in
-// its hands, then exits; the streaming reader additionally checks between
-// blocks, so a cancelled streaming pass stops without draining its
-// source.
+// dataset. A worker finishes the block in its hands, then exits; the
+// streaming reader additionally checks between blocks, so a cancelled
+// streaming pass stops without draining its source.
 package pipeline
 
 import (
@@ -45,19 +44,22 @@ import (
 
 // Config sizes the worker pool and the scan blocks it feeds the codec.
 type Config struct {
-	// Workers is the number of concurrent workers. 0 or negative means
-	// runtime.NumCPU().
+	// Workers is the number of concurrent workers: n >= 1 runs n, 0 (or
+	// negative) means runtime.NumCPU(). Every worker knob above this
+	// package — core's options, the wire's "workers", wmtool -parallel —
+	// follows this convention.
 	Workers int
 	// ChunkRows is the number of rows per chunk. 0 derives a chunk size
 	// that gives each worker several chunks (for tail balancing) without
-	// dropping below MinChunkRows.
+	// dropping below MinChunkRows. Materialized passes round it up to
+	// whole stored blocks (relation.BlockRows).
 	ChunkRows int
-	// BlockRows is the number of rows per scan block — the unit the
-	// workers feed through the batched keyed-hash kernels
-	// (mark.ScanBlock / mark.EmbedBlock, and the relation.Block a
-	// streaming scan reads), and the granularity of Progress ticks. 0 or
-	// negative means mark.DefaultBlockRows. Results are bit-identical at
-	// every size.
+	// BlockRows is the number of rows per block a streaming scan
+	// (ScanMany) reads from its source and feeds through
+	// mark.ScanColumns, and so the granularity of its Progress ticks. 0
+	// or negative means mark.DefaultBlockRows. Results are bit-identical
+	// at every size. Materialized passes (Embed, Detect) always run over
+	// the relation's stored blocks of relation.BlockRows rows.
 	BlockRows int
 	// Progress, when non-nil, is invoked with the number of suspect
 	// tuples each completed scan block covered — the hook async jobs use
@@ -90,18 +92,18 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
+// chunkRows sizes the chunks of a materialized pass: ChunkRows, or a
+// size giving each worker several chunks, rounded up to whole stored
+// blocks so that no two workers ever share a block.
 func (c Config) chunkRows(n, workers int) int {
-	if c.ChunkRows > 0 {
-		return c.ChunkRows
+	per := c.ChunkRows
+	if per <= 0 {
+		per = max(n/(workers*chunksPerWorker), MinChunkRows)
 	}
-	per := n / (workers * chunksPerWorker)
-	if per < MinChunkRows {
-		per = MinChunkRows
-	}
-	return per
+	return (per + relation.BlockRows - 1) / relation.BlockRows * relation.BlockRows
 }
 
-// blockRows resolves the scan-block size for the block engine.
+// blockRows resolves the block size of a streaming scan.
 func (c Config) blockRows() int {
 	if c.BlockRows > 0 {
 		return c.BlockRows
@@ -124,42 +126,42 @@ func (c Config) report(tuples int) {
 	}
 }
 
-// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time,
-// checking ctx and ticking progress between blocks. bs is the caller's
-// per-goroutine scratch.
+// scanRange feeds the stored blocks holding rows [lo, hi) of r through
+// sc into t, checking ctx and ticking progress between blocks. lo must
+// be block-aligned (see chunkRows); bs is the caller's per-goroutine
+// scratch.
 func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, cfg Config) error {
-	br := cfg.blockRows()
-	for blockLo := lo; blockLo < hi; blockLo += br {
+	for bi := lo / relation.BlockRows; bi*relation.BlockRows < hi; bi++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		blockHi := min(blockLo+br, hi)
-		if err := sc.ScanBlock(r, blockLo, blockHi, t, bs); err != nil {
+		blk := r.Block(bi)
+		if err := sc.ScanColumns(blk, t, bs); err != nil {
 			return err
 		}
-		cfg.report(blockHi - blockLo)
+		cfg.report(blk.Rows())
 	}
 	return nil
 }
 
-// embedRange feeds rows [lo, hi) of r through em into cs
-// block-at-a-time, checking ctx and ticking progress between blocks.
+// embedRange feeds rows [lo, hi) of r through em into cs one stored
+// block at a time, checking ctx and ticking progress between blocks.
 // Runs at least one (possibly empty) block so cs always carries the pass
 // bandwidth.
 func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, cfg Config) error {
-	br := cfg.blockRows()
-	for blockLo := lo; ; blockLo += br {
+	for blockLo := lo; ; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		blockHi := min(blockLo+br, hi)
-		if err := em.EmbedBlock(r, blockLo, blockHi, cs, bs); err != nil {
+		blockHi := min(blockLo-blockLo%relation.BlockRows+relation.BlockRows, hi)
+		if err := em.EmbedColumns(r, blockLo, blockHi, cs, bs); err != nil {
 			return err
 		}
 		cfg.report(blockHi - blockLo)
 		if blockHi >= hi {
 			return nil
 		}
+		blockLo = blockHi
 	}
 }
 
@@ -230,8 +232,8 @@ feed:
 	return results, nil
 }
 
-// Embed watermarks r in place like mark.Embed, but processes key-range
-// chunks on a worker pool. The result is equivalent to the sequential
+// Embed watermarks r in place like mark.Embed, but processes chunks of
+// the relation's stored blocks on a worker pool. The result is equivalent to the sequential
 // pass: the same tuples are altered to the same values (each decision
 // depends only on the tuple's own key), and the merged statistics match.
 //
@@ -258,8 +260,9 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
 	if workers == 1 || opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil ||
 		attrIsPrimaryKey(r, opts.Attr) {
-		// In-order chunk walk: identical to mark.Embed (EmbedBlock is its
-		// kernel, rows visited in the same order) plus cancellation points.
+		// In-order chunk walk: identical to mark.Embed (EmbedColumns is
+		// its kernel, rows visited in the same order) plus cancellation
+		// points.
 		var agg mark.ChunkStats
 		var bs mark.BlockScratch
 		for _, c := range chunks {
@@ -284,8 +287,8 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 	return mark.MergeChunks(parts...), nil
 }
 
-// Detect recovers a watermark like mark.Detect, but scans key-range
-// chunks on a worker pool and merges the per-chunk vote tallies in scan
+// Detect recovers a watermark like mark.Detect, but scans chunks of the
+// relation's stored blocks on a worker pool and merges the per-chunk vote tallies in scan
 // order before aggregating and decoding once. The recovered bit string is
 // bit-identical to the sequential pass for both vote-aggregation
 // policies; the suspect relation is never modified.
@@ -299,21 +302,6 @@ func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 		return mark.DetectReport{}, err
 	}
 	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
-	if workers == 1 {
-		// In-order chunk walk over one tally: the same row loop as
-		// mark.Detect, split only to interleave cancellation checks.
-		total := sc.NewTally()
-		var bs mark.BlockScratch
-		for _, c := range chunks {
-			if err := ctx.Err(); err != nil {
-				return mark.DetectReport{}, err
-			}
-			if err := scanRange(ctx, sc, r, c.Lo, c.Hi, total, &bs, cfg); err != nil {
-				return mark.DetectReport{}, err
-			}
-		}
-		return sc.Report(total)
-	}
 	parts, err := runChunks(ctx, workers, chunks, func(c chunkRange) (*mark.Tally, error) {
 		t := sc.NewTally()
 		var bs mark.BlockScratch

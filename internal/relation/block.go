@@ -5,15 +5,16 @@ import (
 	"sync"
 )
 
-// Columnar blocks: the zero-allocation ingestion unit. A Block holds one
+// Columnar blocks: the storage and ingestion unit. A Block holds one
 // batch of rows in column-major form — each attribute's values
 // concatenated into one contiguous byte arena with an offset table — so
 // the scan engine can hand a key column to the batched keyed-hash
 // kernels as raw bytes (keyhash.Kernel.HashColumn) without ever
-// materializing a string per field. Blocks are recycled through a
-// sync.Pool (GetBlock/PutBlock): once the pool is warm, a block travels
-// from the input stream through mark.ScanColumns without a single
-// per-row allocation.
+// materializing a string per field. A Relation stores its rows as a
+// sequence of blocks it owns. Streaming passes instead recycle blocks
+// through a sync.Pool (GetBlock/PutBlock): once the pool is warm, a
+// block travels from the input stream through mark.ScanColumns without
+// a single per-row allocation.
 //
 // The arenas are owned by the block and overwritten on the next
 // Reset/ReadBlock into it. Callers that need a value to outlive the
@@ -68,6 +69,24 @@ func (c *Column) appendByte(b byte) { c.data = append(c.data, b) }
 // closeRow seals the currently open field as the next row's value.
 func (c *Column) closeRow() { c.offs = append(c.offs, int32(len(c.data))) }
 
+// set replaces row i's value in place, shifting the later values of the
+// column when the length changes: O(column), never more.
+func (c *Column) set(i int, v string) {
+	lo, hi := int(c.offs[i]), int(c.offs[i+1])
+	if delta := len(v) - (hi - lo); delta != 0 {
+		end := len(c.data)
+		if delta > 0 {
+			c.data = append(c.data, make([]byte, delta)...)
+		}
+		copy(c.data[hi+delta:], c.data[hi:end])
+		c.data = c.data[:end+delta]
+		for k := i + 1; k < len(c.offs); k++ {
+			c.offs[k] += int32(delta)
+		}
+	}
+	copy(c.data[lo:], v)
+}
+
 // Block is one batch of rows in columnar form, plus (optionally) the
 // raw input byte spans the rows were parsed from — what the cluster
 // coordinator slices shard payloads out of instead of re-serializing
@@ -79,9 +98,10 @@ type Block struct {
 	// raw holds the concatenated raw record spans when recording is on
 	// (see RawShardSource.SetRecordRaw).
 	raw []byte
-	// gen increments on every Reset, giving pooled blocks a cheap
-	// identity: (pointer, gen) pins one filling of one block, which is
-	// how mark.BlockScratch knows when its per-block memo went stale.
+	// gen increments on every Reset and every Relation.SetValue, giving
+	// blocks a cheap identity: (pointer, gen) pins one content of one
+	// block, which is how mark.BlockScratch knows when its per-block
+	// memo went stale.
 	gen uint64
 }
 
@@ -126,8 +146,9 @@ func (b *Block) Col(i int) *Column { return &b.cols[i] }
 // as Column.Value.
 func (b *Block) Value(row, col int) []byte { return b.cols[col].Value(row) }
 
-// Tuple materializes row i as an owned Tuple — the bridge behind the
-// block readers' RowReader view; it allocates one string per field.
+// Tuple materializes row i as an owned Tuple — the bridge behind
+// Relation.Tuple and the block readers' RowReader view; it allocates one
+// string per field.
 func (b *Block) Tuple(i int) Tuple {
 	t := make(Tuple, len(b.cols))
 	for c := range b.cols {
@@ -150,6 +171,29 @@ func (b *Block) AppendTuple(t Tuple) error {
 	}
 	b.rows++
 	return nil
+}
+
+// appendRow copies row j of src (same schema) onto the end of b.
+func (b *Block) appendRow(src *Block, j int) {
+	for c := range b.cols {
+		col := &b.cols[c]
+		col.data = append(col.data, src.cols[c].Value(j)...)
+		col.closeRow()
+	}
+	b.rows++
+}
+
+// clone returns an independent copy of b's rows (raw spans are not
+// copied: stored blocks never carry them).
+func (b *Block) clone() *Block {
+	c := &Block{schema: b.schema, rows: b.rows, cols: make([]Column, len(b.cols)), gen: 1}
+	for i, col := range b.cols {
+		c.cols[i] = Column{
+			data: append([]byte(nil), col.data...),
+			offs: append([]int32(nil), col.offs...),
+		}
+	}
+	return c
 }
 
 // RawBytes returns the concatenated raw record spans of the block's

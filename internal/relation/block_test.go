@@ -563,3 +563,43 @@ func BenchmarkRowReader(b *testing.B) {
 	b.Run("jsonl/stdlib", legacy(jsonl.String(), mkLegacyJSONL))
 	b.Run("jsonl/zerocopy", block(jsonl.String(), mkBlockJSONL))
 }
+
+// TestReadAllAllocsPerRow pins materialized ingestion at about one
+// allocation per row: ReadCSV and ReadJSONL keep the blocks the reader
+// filled as the relation's storage, so the only per-row allocation left
+// is the key string of the primary-key index (block arenas, offsets and
+// index growth amortize to a few hundredths of one).
+func TestReadAllAllocsPerRow(t *testing.T) {
+	const rows = 100000
+	schema := rowioSchema(t)
+	var csvData, jsonlData strings.Builder
+	csvData.WriteString("Visit_Nbr,Item_Nbr\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&csvData, "%d,%d\n", 500000+i, 10+i%997)
+		fmt.Fprintf(&jsonlData, "{\"Visit_Nbr\":\"%d\",\"Item_Nbr\":\"%d\"}\n", 500000+i, 10+i%997)
+	}
+	for _, tc := range []struct {
+		name string
+		read func() (*Relation, error)
+	}{
+		{"csv", func() (*Relation, error) { return ReadCSV(strings.NewReader(csvData.String()), schema) }},
+		{"jsonl", func() (*Relation, error) { return ReadJSONL(strings.NewReader(jsonlData.String()), schema) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			avg := testing.AllocsPerRun(3, func() {
+				r, err := tc.read()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Len() != rows {
+					t.Fatalf("read %d rows, want %d", r.Len(), rows)
+				}
+			})
+			if perRow := avg / rows; perRow > 1.1 {
+				t.Fatalf("%s ingestion: %.3f allocs/row, want <= 1.1", tc.name, perRow)
+			} else {
+				t.Logf("%s ingestion: %.3f allocs/row", tc.name, perRow)
+			}
+		})
+	}
+}

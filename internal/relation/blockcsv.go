@@ -45,10 +45,6 @@ type CSVBlockReader struct {
 	rowIdx int
 }
 
-// compatBlockRows sizes the internal block of the RowReader
-// compatibility path and the default ReadBlock batch.
-const compatBlockRows = 512
-
 // NewCSVBlockReader reads and validates the CSV header, returning a
 // reader positioned at the first data row.
 func NewCSVBlockReader(rd io.Reader, schema *Schema) (*CSVBlockReader, error) {
@@ -101,7 +97,7 @@ func (r *CSVBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 		return 0, r.err
 	}
 	if maxRows <= 0 {
-		maxRows = compatBlockRows
+		maxRows = BlockRows
 	}
 	r.scrap.reset()
 	var rawDst *[]byte
@@ -141,7 +137,7 @@ func (r *CSVBlockReader) Read() (Tuple, error) {
 		r.rowBlk = NewBlock(r.schema)
 	}
 	if r.rowIdx >= r.rowBlk.Rows() {
-		n, err := r.ReadBlock(r.rowBlk, compatBlockRows)
+		n, err := r.ReadBlock(r.rowBlk, BlockRows)
 		if n == 0 && err != nil {
 			return nil, err
 		}

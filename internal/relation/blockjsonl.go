@@ -87,7 +87,7 @@ func (r *JSONLBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 		return 0, r.err
 	}
 	if maxRows <= 0 {
-		maxRows = compatBlockRows
+		maxRows = BlockRows
 	}
 	var rawDst *[]byte
 	if r.recordRaw {
@@ -120,7 +120,7 @@ func (r *JSONLBlockReader) Read() (Tuple, error) {
 		r.rowBlk = NewBlock(r.schema)
 	}
 	if r.rowIdx >= r.rowBlk.Rows() {
-		n, err := r.ReadBlock(r.rowBlk, compatBlockRows)
+		n, err := r.ReadBlock(r.rowBlk, BlockRows)
 		if n == 0 && err != nil {
 			return nil, err
 		}

@@ -1,10 +1,12 @@
 package relation
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CSV codec. The header row carries attribute names; logical types and the
@@ -88,22 +90,59 @@ func SchemaSpec(s *Schema) string {
 }
 
 // WriteCSV writes the relation with a header row of attribute names.
+// Fields come straight from the stored blocks' bytes, formatted exactly
+// as encoding/csv.Writer formats them (comma separator, \n line ends).
 func WriteCSV(w io.Writer, r *Relation) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, r.Schema().Arity())
-	for i := range header {
-		header[i] = r.Schema().Attr(i).Name
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for i := 0; i < r.Schema().Arity(); i++ {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		line = appendCSVField(line, []byte(r.Schema().Attr(i).Name))
 	}
-	if err := cw.Write(header); err != nil {
+	if _, err := bw.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
-	for i := 0; i < r.Len(); i++ {
-		if err := cw.Write(r.Tuple(i)); err != nil {
-			return fmt.Errorf("relation: writing CSV row %d: %w", i, err)
+	row := 0
+	for _, b := range r.blocks {
+		for j := 0; j < b.Rows(); j++ {
+			line = line[:0]
+			for c := range b.cols {
+				if c > 0 {
+					line = append(line, ',')
+				}
+				line = appendCSVField(line, b.cols[c].Value(j))
+			}
+			if _, err := bw.Write(append(line, '\n')); err != nil {
+				return fmt.Errorf("relation: writing CSV row %d: %w", row, err)
+			}
+			row++
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
+}
+
+// appendCSVField appends one field, quoted exactly when encoding/csv
+// would quote it: it holds a comma, quote, \r or \n, starts with a
+// Unicode space, or is the lone `\.`. Quotes inside are doubled.
+func appendCSVField(dst, f []byte) []byte {
+	r1, _ := utf8.DecodeRune(f)
+	quote := string(f) == `\.` || unicode.IsSpace(r1)
+	for i := 0; i < len(f) && !quote; i++ {
+		quote = f[i] == ',' || f[i] == '"' || f[i] == '\r' || f[i] == '\n'
+	}
+	if !quote {
+		return append(dst, f...)
+	}
+	dst = append(dst, '"')
+	for _, c := range f {
+		if c == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, c)
+	}
+	return append(dst, '"')
 }
 
 // ReadCSV reads a relation under the given schema. The CSV header must

@@ -2,6 +2,10 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -137,5 +141,69 @@ func TestWriteCSVEmptyRelation(t *testing.T) {
 	}
 	if got := strings.TrimSpace(buf.String()); got != "k" {
 		t.Fatalf("empty relation CSV = %q", got)
+	}
+}
+
+// TestWritersMatchStdlib pins WriteCSV and WriteJSONL, which format
+// straight from block bytes, to the stdlib encoders they replace:
+// encoding/csv.Writer over each tuple, and json.Encoder over each row
+// as a map[string]string. Values cover every quoting and escaping rule:
+// separators, quotes, CR/LF, leading Unicode space, the lone `\.`,
+// HTML characters, control bytes, U+2028 and invalid UTF-8.
+func TestWritersMatchStdlib(t *testing.T) {
+	schema := MustSchema([]Attribute{
+		{Name: "z<key>", Type: TypeString},
+		{Name: "a \"name\"", Type: TypeString, Categorical: true},
+		{Name: "m,id", Type: TypeString},
+	}, "z<key>")
+	values := []string{"", "plain", "a,b", `say "hi"`, "line\nbreak", "cr\rlf\r\n", " lead",
+		"\u00a0nbsp", "\u3000ideo", "\t tab", `\.`, `\.x`, "<tag>&amp;", "a<b", "c>d", "e&f", "ctl\x01\x1f\x7f",
+		"ls\u2028ps\u2029", "bad\xffutf8", "ünïcödé", "trail ", "\""}
+	r := New(schema)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3*len(values)+BlockRows; i++ {
+		r.MustAppend(Tuple{values[i%len(values)] + strconv.Itoa(i),
+			values[rng.Intn(len(values))], values[rng.Intn(len(values))]})
+	}
+
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	header := make([]string, schema.Arity())
+	for i := range header {
+		header[i] = schema.Attr(i).Name
+	}
+	cw.Write(header) //nolint:errcheck // checked through cw.Error
+	for i := 0; i < r.Len(); i++ {
+		cw.Write(r.Tuple(i)) //nolint:errcheck
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteCSV(&got, r); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteCSV differs from encoding/csv:\n got %q\nwant %q", got.String(), want.String())
+	}
+
+	want.Reset()
+	enc := json.NewEncoder(&want)
+	for i := 0; i < r.Len(); i++ {
+		obj := make(map[string]string, schema.Arity())
+		for j, v := range r.Tuple(i) {
+			obj[schema.Attr(j).Name] = v
+		}
+		if err := enc.Encode(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.Reset()
+	if err := WriteJSONL(&got, r); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteJSONL differs from json.Encoder:\n got %q\nwant %q", got.String(), want.String())
 	}
 }

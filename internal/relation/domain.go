@@ -64,16 +64,7 @@ func DomainOf(r *Relation, attr string) (*Domain, error) {
 	if r.Len() == 0 {
 		return nil, fmt.Errorf("relation: cannot derive domain of %q from empty relation", attr)
 	}
-	seen := make(map[string]bool)
-	var values []string
-	for i := 0; i < r.Len(); i++ {
-		v := r.Tuple(i)[j]
-		if !seen[v] {
-			seen[v] = true
-			values = append(values, v)
-		}
-	}
-	return NewDomain(values)
+	return NewDomain(distinctValues(r, j, nil))
 }
 
 // Size returns n_A, the number of distinct values.
@@ -118,9 +109,38 @@ func HistogramOf(r *Relation, attr string) (*stats.Histogram, error) {
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
+	var counts []int
+	values := distinctValues(r, j, &counts)
 	h := stats.NewHistogram()
-	for i := 0; i < r.Len(); i++ {
-		h.Add(r.Tuple(i)[j])
+	for i, v := range values {
+		h.AddN(v, counts[i])
 	}
 	return h, nil
+}
+
+// distinctValues returns the distinct values of column j in first
+// occurrence order, reading the stored blocks directly: one string per
+// distinct value, none per row. When counts is non-nil it receives each
+// value's occurrence count, index-aligned with the result.
+func distinctValues(r *Relation, j int, counts *[]int) []string {
+	index := make(map[string]int)
+	var values []string
+	var n []int
+	for _, b := range r.blocks {
+		col := b.Col(j)
+		for row := 0; row < b.Rows(); row++ {
+			if k, ok := index[string(col.Value(row))]; ok {
+				n[k]++
+				continue
+			}
+			v := col.String(row)
+			index[v] = len(values)
+			values = append(values, v)
+			n = append(n, 1)
+		}
+	}
+	if counts != nil {
+		*counts = n
+	}
+	return values
 }

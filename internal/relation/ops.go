@@ -22,8 +22,14 @@ func (r *Relation) SortBy(attr string) error {
 		return fmt.Errorf("relation: unknown attribute %q", attr)
 	}
 	typ := r.schema.Attr(j).Type
-	sort.SliceStable(r.tuples, func(a, b int) bool {
-		va, vb := r.tuples[a][j], r.tuples[b][j]
+	vals := make([]string, r.n)
+	for i := range vals {
+		b, row := r.locate(i)
+		vals[i] = b.cols[j].String(row)
+	}
+	perm := identity(r.n)
+	sort.SliceStable(perm, func(a, b int) bool {
+		va, vb := vals[perm[a]], vals[perm[b]]
 		if typ == TypeInt {
 			ia, errA := strconv.ParseInt(va, 10, 64)
 			ib, errB := strconv.ParseInt(vb, 10, 64)
@@ -33,41 +39,42 @@ func (r *Relation) SortBy(attr string) error {
 		}
 		return va < vb
 	})
-	r.reindex()
+	r.permute(perm)
 	return nil
 }
 
 // Shuffle randomly permutes tuple order (attack A4: subset re-sorting —
 // detection must not depend on any predefined ordering).
 func (r *Relation) Shuffle(src *stats.Source) {
-	src.Shuffle(len(r.tuples), func(i, j int) {
-		r.tuples[i], r.tuples[j] = r.tuples[j], r.tuples[i]
+	perm := identity(r.n)
+	src.Shuffle(len(perm), func(i, j int) {
+		perm[i], perm[j] = perm[j], perm[i]
 	})
-	r.reindex()
+	r.permute(perm)
 }
 
-// SelectRows returns a new relation containing clones of the rows at the
+// SelectRows returns a new relation containing copies of the rows at the
 // given indices, in the given order.
 func (r *Relation) SelectRows(rows []int) (*Relation, error) {
 	out := New(r.schema)
 	for _, i := range rows {
-		if i < 0 || i >= len(r.tuples) {
-			return nil, fmt.Errorf("relation: row %d out of range [0,%d)", i, len(r.tuples))
+		if i < 0 || i >= r.n {
+			return nil, fmt.Errorf("relation: row %d out of range [0,%d)", i, r.n)
 		}
-		if err := out.Append(r.tuples[i].Clone()); err != nil {
+		if err := out.Append(r.Tuple(i)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Filter returns a new relation with clones of the rows for which keep
-// returns true.
+// Filter returns a new relation with copies of the rows for which keep
+// returns true. keep receives each row as an owned Tuple.
 func (r *Relation) Filter(keep func(i int, t Tuple) bool) *Relation {
 	out := New(r.schema)
-	for i, t := range r.tuples {
-		if keep(i, t) {
-			out.MustAppend(t.Clone())
+	for i := 0; i < r.n; i++ {
+		if t := r.Tuple(i); keep(i, t) {
+			out.MustAppend(t)
 		}
 	}
 	return out
@@ -90,10 +97,11 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 	}
 	out := New(ps)
 	dropped := 0
-	for _, t := range r.tuples {
+	for i := 0; i < r.n; i++ {
+		t := r.Tuple(i)
 		nt := make(Tuple, len(cols))
-		for i, c := range cols {
-			nt[i] = t[c]
+		for k, c := range cols {
+			nt[k] = t[c]
 		}
 		if err := out.Append(nt); err != nil {
 			dropped++ // duplicate projected key
@@ -102,25 +110,41 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 	return out, dropped, nil
 }
 
-// AppendAll appends clones of every tuple in o, returning the number of
+// AppendAll appends copies of every tuple in o, returning the number of
 // tuples rejected for duplicate keys.
 func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
 	if !r.schema.Equal(o.schema) {
 		return 0, fmt.Errorf("relation: schema mismatch in AppendAll")
 	}
-	for _, t := range o.tuples {
-		if appendErr := r.Append(t.Clone()); appendErr != nil {
+	for i := 0; i < o.n; i++ {
+		if appendErr := r.Append(o.Tuple(i)); appendErr != nil {
 			rejected++
 		}
 	}
 	return rejected, nil
 }
 
-func (r *Relation) reindex() {
-	for k := range r.keys {
-		delete(r.keys, k)
+// identity returns [0, 1, …, n-1].
+func identity(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	for i, t := range r.tuples {
-		r.keys[t[r.schema.keyIndex]] = i
+	return perm
+}
+
+// permute reorders the rows so that new row i is old row perm[i],
+// rebuilding the blocks and remapping the key index in place.
+func (r *Relation) permute(perm []int) {
+	old := r.blocks
+	r.blocks, r.n = nil, 0
+	newRow := make([]int, len(perm))
+	for i, p := range perm {
+		r.tail().appendRow(old[p/BlockRows], p%BlockRows)
+		r.n++
+		newRow[p] = i
+	}
+	for k, i := range r.keys {
+		r.keys[k] = newRow[i]
 	}
 }

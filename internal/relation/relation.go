@@ -4,12 +4,18 @@
 // JDBC (Figure 3); this package is the in-memory stand-in: schemas,
 // tuples, relations, categorical domains, codecs, sorting and partitioning.
 //
-// Values are stored as strings uniformly; Attribute.Type records the
-// logical type for codecs and generators. Categorical semantics (the sorted
-// value set {a_1 … a_nA} of Section 2.1) live in Domain.
+// A Relation stores its rows as a sequence of columnar Blocks of
+// BlockRows rows each — every attribute's values as raw bytes in one
+// arena per column — plus the primary-key index. The scan and embedding
+// kernels (internal/mark) work on those blocks directly; Tuple
+// materializes one row as strings for the row-shaped callers. Values are
+// untyped bytes; Attribute.Type records the logical type for codecs and
+// generators. Categorical semantics (the sorted value set {a_1 … a_nA}
+// of Section 2.1) live in Domain.
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -179,17 +185,27 @@ func (s *Schema) Equal(o *Schema) bool {
 	return true
 }
 
-// Tuple is one row: values by attribute position, stored as strings.
+// Tuple is one row: values by attribute position, as strings.
 type Tuple []string
 
 // Clone returns an independent copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
+// BlockRows is the number of rows per stored block of a Relation: every
+// block but the last holds exactly this many. It is also the default
+// batch of the block readers and the scan engine (mark.DefaultBlockRows):
+// large enough to amortize a kernel call, small enough that a block's
+// keys and digests stay cache-resident while every certificate of a
+// batch audit sweeps it.
+const BlockRows = 512
+
 // Relation is an ordered multiset of tuples under a schema, with primary
-// key uniqueness enforced on insert.
+// key uniqueness enforced on insert. Rows live in columnar blocks (see
+// Block); row i is row i%BlockRows of block i/BlockRows.
 type Relation struct {
 	schema *Schema
-	tuples []Tuple
+	blocks []*Block
+	n      int
 	keys   map[string]int // key value -> row index
 }
 
@@ -201,23 +217,29 @@ func New(schema *Schema) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// Reset empties the relation in place, keeping the schema and the
-// tuple/key capacity — the recycling half of the pooled chunk relations
-// in the streaming pipeline.
-func (r *Relation) Reset() {
-	r.tuples = r.tuples[:0]
-	clear(r.keys)
-}
-
 // Len returns the number of tuples (the paper's N).
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
+
+// NumBlocks returns the number of stored blocks.
+func (r *Relation) NumBlocks() int { return len(r.blocks) }
+
+// Block returns stored block i, holding rows [i*BlockRows,
+// i*BlockRows+Block(i).Rows()). The block belongs to the relation: read
+// it (the scan kernels do), but change values only through SetValue,
+// and never pass it to PutBlock.
+func (r *Relation) Block(i int) *Block { return r.blocks[i] }
+
+// locate returns the block holding row i and the row's index in it.
+// A row out of range panics in the block's offset table.
+func (r *Relation) locate(i int) (*Block, int) {
+	return r.blocks[i/BlockRows], i % BlockRows
+}
 
 // ErrDuplicateKey is returned by Append when a tuple reuses a primary key.
 var ErrDuplicateKey = errors.New("relation: duplicate primary key")
 
 // Append adds a tuple. It validates arity and primary-key uniqueness.
-// The tuple is stored as given (not copied); callers retaining the slice
-// should pass t.Clone().
+// The values are copied into the relation's blocks.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("relation: tuple arity %d, schema arity %d",
@@ -227,8 +249,43 @@ func (r *Relation) Append(t Tuple) error {
 	if _, dup := r.keys[key]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 	}
-	r.keys[key] = len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	r.keys[key] = r.n
+	_ = r.tail().AppendTuple(t) // cannot fail: arity checked above
+	r.n++
+	return nil
+}
+
+// tail returns the block the next row goes into, opening a new one when
+// the last is full.
+func (r *Relation) tail() *Block {
+	if r.n%BlockRows == 0 {
+		r.blocks = append(r.blocks, NewBlock(r.schema))
+	}
+	return r.blocks[len(r.blocks)-1]
+}
+
+// appendBlock adds the rows of b, indexing their keys. A block that
+// starts a fresh stored block is kept as it is, so ingestion copies no
+// value; otherwise its rows are copied onto the tail. The first error
+// names the offending row, 1-based across the whole relation, and leaves
+// the relation unusable.
+func (r *Relation) appendBlock(b *Block) error {
+	keys := b.Col(r.schema.keyIndex)
+	for j := 0; j < b.Rows(); j++ {
+		if _, dup := r.keys[string(keys.Value(j))]; dup {
+			return fmt.Errorf("row %d: %w: %q", r.n+j+1, ErrDuplicateKey, keys.Value(j))
+		}
+		r.keys[keys.String(j)] = r.n + j
+	}
+	if r.n%BlockRows == 0 && b.Rows() <= BlockRows {
+		r.blocks = append(r.blocks, b)
+		r.n += b.Rows()
+		return nil
+	}
+	for j := 0; j < b.Rows(); j++ {
+		r.tail().appendRow(b, j)
+		r.n++
+	}
 	return nil
 }
 
@@ -240,9 +297,13 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Tuple returns the i-th tuple. The returned slice aliases internal
-// storage; mutate only through SetValue.
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// Tuple returns row i as an owned copy: one string per attribute, in
+// schema order. Changing it does not change the relation; use SetValue.
+// Hot paths read the stored blocks instead.
+func (r *Relation) Tuple(i int) Tuple {
+	b, j := r.locate(i)
+	return b.Tuple(j)
+}
 
 // Value returns T_i(attr): the value of the named attribute in row i.
 func (r *Relation) Value(i int, attr string) (string, error) {
@@ -250,33 +311,41 @@ func (r *Relation) Value(i int, attr string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	return r.tuples[i][j], nil
+	b, row := r.locate(i)
+	return b.cols[j].String(row), nil
 }
 
-// SetValue overwrites the named attribute in row i, maintaining the
-// primary-key index if the key column is the one changed.
+// SetValue overwrites the named attribute in row i, in place within the
+// row's block (O(BlockRows), whatever the relation's size), maintaining
+// the primary-key index if the key column is the one changed. A write
+// bumps the block's generation, so a scan memo keyed on it never replays
+// digests of the old value.
 func (r *Relation) SetValue(i int, attr, value string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
 		return fmt.Errorf("relation: unknown attribute %q", attr)
 	}
+	b, row := r.locate(i)
 	if j == r.schema.keyIndex {
-		old := r.tuples[i][j]
-		if old == value {
-			return nil
-		}
-		if _, dup := r.keys[value]; dup {
+		if k, dup := r.keys[value]; dup {
+			if k == i {
+				return nil // the row's own key: no change
+			}
 			return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
 		}
-		delete(r.keys, old)
+		delete(r.keys, b.cols[j].String(row))
 		r.keys[value] = i
 	}
-	r.tuples[i][j] = value
+	b.cols[j].set(row, value)
+	b.gen++
 	return nil
 }
 
 // Key returns the primary-key value of row i.
-func (r *Relation) Key(i int) string { return r.tuples[i][r.schema.keyIndex] }
+func (r *Relation) Key(i int) string {
+	b, row := r.locate(i)
+	return b.cols[r.schema.keyIndex].String(row)
+}
 
 // Lookup returns the row index holding the given primary-key value.
 func (r *Relation) Lookup(key string) (int, bool) {
@@ -284,16 +353,17 @@ func (r *Relation) Lookup(key string) (int, bool) {
 	return i, ok
 }
 
-// Clone returns a deep copy: independent tuples and key index, shared
+// Clone returns a deep copy: independent blocks and key index, shared
 // (immutable) schema.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		schema: r.schema,
-		tuples: make([]Tuple, len(r.tuples)),
+		blocks: make([]*Block, len(r.blocks)),
+		n:      r.n,
 		keys:   make(map[string]int, len(r.keys)),
 	}
-	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
+	for i, b := range r.blocks {
+		c.blocks[i] = b.clone()
 	}
 	for k, v := range r.keys {
 		c.keys[k] = v
@@ -307,12 +377,9 @@ func (r *Relation) Equal(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
 		return false
 	}
-	for i, t := range r.tuples {
-		ot := o.tuples[i]
-		for j := range t {
-			if t[j] != ot[j] {
-				return false
-			}
+	for i := 0; i < r.n; i++ {
+		if !sameRow(r, i, o, i) {
+			return false
 		}
 	}
 	return true
@@ -324,16 +391,23 @@ func (r *Relation) EqualUnordered(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
 		return false
 	}
-	for i := range r.tuples {
-		j, ok := o.Lookup(r.Key(i))
-		if !ok {
+	for i := 0; i < r.n; i++ {
+		b, row := r.locate(i)
+		j, ok := o.keys[string(b.cols[r.schema.keyIndex].Value(row))]
+		if !ok || !sameRow(r, i, o, j) {
 			return false
 		}
-		t, ot := r.tuples[i], o.tuples[j]
-		for c := range t {
-			if t[c] != ot[c] {
-				return false
-			}
+	}
+	return true
+}
+
+// sameRow reports whether row i of r and row j of o hold equal values.
+func sameRow(r *Relation, i int, o *Relation, j int) bool {
+	rb, ri := r.locate(i)
+	ob, oj := o.locate(j)
+	for c := range rb.cols {
+		if !bytes.Equal(rb.cols[c].Value(ri), ob.cols[c].Value(oj)) {
+			return false
 		}
 	}
 	return true

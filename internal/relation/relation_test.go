@@ -2,7 +2,11 @@ package relation
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -243,4 +247,107 @@ func TestTypeParseRoundTrip(t *testing.T) {
 	if _, err := ParseType("float"); err == nil {
 		t.Error("unknown type accepted")
 	}
+}
+
+// checkModel fails unless r holds exactly the rows of model, in order,
+// with every key indexed at its row, every stored block but the last
+// full, and Tuple returning an owned copy.
+func checkModel(t *testing.T, what string, r *Relation, model [][]string) {
+	t.Helper()
+	if r.Len() != len(model) {
+		t.Fatalf("%s: %d rows, model %d", what, r.Len(), len(model))
+	}
+	for i := 0; i < r.NumBlocks(); i++ {
+		if rows := r.Block(i).Rows(); i < r.NumBlocks()-1 && rows != BlockRows {
+			t.Fatalf("%s: stored block %d of %d holds %d rows", what, i, r.NumBlocks(), rows)
+		}
+	}
+	key := r.Schema().KeyIndex()
+	for i, want := range model {
+		got := r.Tuple(i)
+		if !reflect.DeepEqual([]string(got), want) {
+			t.Fatalf("%s: row %d = %q, model %q", what, i, got, want)
+		}
+		if j, ok := r.Lookup(want[key]); !ok || j != i {
+			t.Fatalf("%s: key %q indexed at %d,%v, want %d", what, want[key], j, ok, i)
+		}
+		got[0] = "scribble" // an owned copy: the relation must not see it
+	}
+	if len(r.keys) != len(model) {
+		t.Fatalf("%s: %d indexed keys, %d rows", what, len(r.keys), len(model))
+	}
+}
+
+// TestSetValueMatchesModel drives in-place rewrites against a
+// [][]string model: values of differing lengths (growing, shrinking,
+// emptying) at random rows across several stored blocks, key-column
+// rewrites with a duplicate rejected and the relation left unchanged,
+// and a clone mutated independently of its source.
+func TestSetValueMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	r := New(threeAttrSchema(t))
+	var model [][]string
+	for i := 0; i < 3*BlockRows+77; i++ {
+		row := []string{strconv.Itoa(i), "city" + strconv.Itoa(i%13), strings.Repeat("a", i%5)}
+		r.MustAppend(Tuple(row).Clone())
+		model = append(model, row)
+	}
+	checkModel(t, "appended", r, model)
+	attrs := []string{"ticket", "city", "airline"}
+	value := func() string { return strings.Repeat(string(rune('a'+rng.Intn(26))), rng.Intn(40)) }
+
+	for step := 0; step < 4000; step++ {
+		i, c := rng.Intn(len(model)), rng.Intn(3)
+		v := value()
+		if c == 0 {
+			if rng.Intn(4) == 0 { // a key another row holds
+				v = model[rng.Intn(len(model))][0]
+			} else {
+				v = "k" + strconv.Itoa(step) + v
+			}
+		}
+		gen := r.Block(i / BlockRows).Gen()
+		_, taken := r.Lookup(v)
+		dup := c == 0 && v != model[i][0] && taken
+		err := r.SetValue(i, attrs[c], v)
+		switch {
+		case dup:
+			if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("step %d: duplicate key %q accepted: %v", step, v, err)
+			}
+		case err != nil:
+			t.Fatalf("step %d: %v", step, err)
+		default:
+			if v != model[i][c] && r.Block(i/BlockRows).Gen() == gen {
+				t.Fatalf("step %d: value changed but block generation stayed %d", step, gen)
+			}
+			model[i][c] = v
+		}
+		if step%500 == 0 {
+			checkModel(t, fmt.Sprintf("step %d", step), r, model)
+		}
+	}
+	checkModel(t, "final", r, model)
+
+	c := r.Clone()
+	cmodel := make([][]string, len(model))
+	for i, row := range model {
+		cmodel[i] = append([]string(nil), row...)
+	}
+	for step := 0; step < 200; step++ {
+		i := rng.Intn(len(cmodel))
+		v := value()
+		if err := c.SetValue(i, "airline", v); err != nil {
+			t.Fatal(err)
+		}
+		cmodel[i][2] = v
+	}
+	if err := c.SetValue(0, "ticket", "clone-only-key"); err != nil {
+		t.Fatal(err)
+	}
+	cmodel[0][0] = "clone-only-key"
+	c.MustAppend(Tuple{"clone-extra", "x", "y"})
+	cmodel = append(cmodel, []string{"clone-extra", "x", "y"})
+	checkModel(t, "clone", c, cmodel)
+	checkModel(t, "source after clone edits", r, model)
 }

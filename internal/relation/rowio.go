@@ -1,16 +1,15 @@
 package relation
 
 import (
-	"fmt"
 	"io"
 )
 
 // Row-at-a-time I/O. RowReader yields one tuple at a time; the zero-copy
 // block readers (CSVBlockReader, JSONLBlockReader) implement it as a
 // compatibility view, so each format has exactly one parser. ReadAll is
-// the materializing loop ReadCSV/ReadJSONL run over those readers, Rows
-// feeds an in-memory relation to streaming consumers, and Blocks adapts
-// any row source to the block engine.
+// the materializing loop ReadCSV/ReadJSONL run over those readers (it
+// keeps their blocks), Rows feeds an in-memory relation to streaming
+// consumers, and Blocks adapts any row source to the block engine.
 
 // RowReader yields a relation's tuples one at a time in stream order.
 type RowReader interface {
@@ -25,23 +24,29 @@ type RowReader interface {
 }
 
 // ReadAll drains a RowReader into a materialized Relation, enforcing
-// primary-key uniqueness as it appends. Row numbers in errors are
-// 1-based, matching the readers' own parse errors.
+// primary-key uniqueness as it appends. The source is read through
+// Blocks, so a block reader's filled blocks become the relation's stored
+// blocks as they are: ingestion builds one string per row (the key
+// index entry) and copies no value. Row numbers in errors are 1-based,
+// matching the readers' own parse errors.
 func ReadAll(rr RowReader) (*Relation, error) {
-	out := New(rr.Schema())
-	row := 1
+	br := Blocks(rr)
+	out := New(br.Schema())
 	for {
-		t, err := rr.Read()
+		b := NewBlock(br.Schema())
+		n, err := br.ReadBlock(b, BlockRows)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := out.Append(t); err != nil {
-			return nil, fmt.Errorf("row %d: %w", row, err)
+		if n == 0 {
+			continue
 		}
-		row++
+		if err := out.appendBlock(b); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -60,7 +65,7 @@ func (m *memRowReader) Read() (Tuple, error) {
 	if m.i >= m.r.Len() {
 		return nil, io.EOF
 	}
-	t := m.r.Tuple(m.i).Clone()
+	t := m.r.Tuple(m.i)
 	m.i++
 	return t, nil
 }
@@ -86,7 +91,7 @@ func (a *rowBlocks) Schema() *Schema { return a.rr.Schema() }
 func (a *rowBlocks) ReadBlock(b *Block, maxRows int) (int, error) {
 	b.Reset(a.rr.Schema())
 	if maxRows <= 0 {
-		maxRows = compatBlockRows
+		maxRows = BlockRows
 	}
 	for a.err == nil && b.Rows() < maxRows {
 		t, err := a.rr.Read()

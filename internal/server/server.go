@@ -456,8 +456,15 @@ func encodeRelation(r *relation.Relation, format string) (string, error) {
 const maxRequestWorkers = 256
 
 // workersFor resolves a request's worker override against the server
-// default. Every route's override passes through it before any work.
+// default: n >= 1 runs n workers, 0 (or absent) the server default, and
+// anything else — a negative count, a count above maxRequestWorkers —
+// is an invalid_argument. Every route's override passes through it
+// before any work; a query-string override arrives through
+// queryWorkers.
 func (s *Server) workersFor(requested int) (int, *api.Error) {
+	if requested < 0 {
+		return 0, api.Errorf(api.CodeInvalidArgument, "workers %d is negative (0 means the server default)", requested)
+	}
 	if requested > maxRequestWorkers {
 		return 0, api.Errorf(api.CodeInvalidArgument, "workers %d exceeds the limit of %d", requested, maxRequestWorkers)
 	}
@@ -465,6 +472,20 @@ func (s *Server) workersFor(requested int) (int, *api.Error) {
 		return requested, nil
 	}
 	return s.cfg.Workers, nil
+}
+
+// queryWorkers is workersFor for a ?workers= query value: absent means
+// the server default, and a value that is not a base-10 integer is an
+// invalid_argument.
+func (s *Server) queryWorkers(raw string) (int, *api.Error) {
+	if raw == "" {
+		return s.workersFor(0)
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, api.Errorf(api.CodeInvalidArgument, "workers %q is not an integer", raw)
+	}
+	return s.workersFor(n)
 }
 
 // ---- HTTP handlers: thin decode/reply shells over the exec layer ----
@@ -514,12 +535,16 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request, mt s
 			"streaming verify needs an id query parameter naming a stored certificate"))
 		return
 	}
+	workers, aerr := s.queryWorkers(q.Get("workers"))
+	if aerr != nil {
+		writeErr(w, aerr)
+		return
+	}
 	src, err := streamRowReader(r.Body, mt, q.Get("schema"))
 	if err != nil {
 		writeErr(w, api.Errorf(api.CodeInvalidArgument, "relation: %v", err))
 		return
 	}
-	workers, _ := strconv.Atoi(q.Get("workers"))
 	batch, aerr := s.execVerifyBatchScan(r.Context(), []string{id}, true, src, workers, nil)
 	if aerr != nil {
 		writeErr(w, aerr)
@@ -546,7 +571,11 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	if mt := requestMediaType(r); isStreamType(mt) {
 		q := r.URL.Query()
 		ids := splitIDs(q.Get("records"))
-		workers, _ := strconv.Atoi(q.Get("workers"))
+		workers, aerr := s.queryWorkers(q.Get("workers"))
+		if aerr != nil {
+			writeErr(w, aerr)
+			return
+		}
 		src, err := streamRowReader(r.Body, mt, q.Get("schema"))
 		if err != nil {
 			writeErr(w, api.Errorf(api.CodeInvalidArgument, "relation: %v", err))

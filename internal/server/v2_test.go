@@ -394,7 +394,10 @@ func TestQueueFullReplies429(t *testing.T) {
 // maxRequestWorkers through every route that reaches a scan: each must
 // reply 400 invalid_argument before any work starts (a job at submit
 // time), instead of sizing the pipeline's channels and goroutine pool
-// from the wire value. A request at the bound still verifies.
+// from the wire value. A negative override in a JSON body, and a
+// ?workers= query that is negative or not an integer, get the same 400
+// on every route instead of silently running the server default. A
+// request at the bound still verifies.
 func TestOversizedWorkersRejected(t *testing.T) {
 	ts, srv := newTestServerWithClose(t, Config{Workers: 1})
 	csv, domain := testCSV(t, 2000)
@@ -455,6 +458,45 @@ func TestOversizedWorkersRejected(t *testing.T) {
 		Schema: testSchemaSpec, Data: marked, Records: []*core.Record{rec}, Workers: huge,
 	}, &e)
 	wantRejected("internal scan", status, e)
+
+	// Negative JSON overrides.
+	for route, body := range map[string]any{
+		"/v2/jobs": api.JobRequest{Kind: api.JobKindVerifyBatch, VerifyBatch: &api.BatchVerifyRequest{
+			Records: []string{owner}, Schema: testSchemaSpec, Data: marked, Workers: -7,
+		}},
+		"/v2/verify/batch": api.BatchVerifyRequest{
+			Records: []string{owner}, Schema: testSchemaSpec, Data: marked, Workers: -7,
+		},
+		"/v2/verify": api.VerifyRequest{ID: owner, Schema: testSchemaSpec, Data: marked, Workers: -7},
+		"/v2/watermark": api.WatermarkRequest{
+			Schema: testSchemaSpec, Data: csv, Secret: "s", Attribute: "Item_Nbr",
+			WM: "1011", E: 20, Domain: domain, Workers: -7,
+		},
+		"/v2/internal/scan": api.ShardScanRequest{
+			Schema: testSchemaSpec, Data: marked, Records: []*core.Record{rec}, Workers: -7,
+		},
+	} {
+		e = api.Error{}
+		status, _ = doJSON(t, http.MethodPost, ts.URL+route, body, &e)
+		wantRejected(route+" workers -7", status, e)
+	}
+	if n := len(srv.jobs.List()); n != 0 {
+		t.Fatalf("rejected job was queued: %d jobs", n)
+	}
+
+	// Malformed and negative query overrides on both streaming routes.
+	for _, bad := range []string{"abc", "1e9", "-7", "2.5"} {
+		for _, route := range []string{
+			"/v2/verify?id=" + owner,
+			"/v2/verify/batch?records=" + owner,
+			"/v1/verify/batch?records=" + owner,
+		} {
+			e = api.Error{}
+			u := fmt.Sprintf("%s%s&schema=%s&workers=%s",
+				ts.URL, route, url.QueryEscape(testSchemaSpec), url.QueryEscape(bad))
+			wantRejected("streaming "+route+" workers="+bad, postRaw(t, u, api.ContentTypeCSV, marked, &e), e)
+		}
+	}
 
 	var resp api.BatchVerifyResponse
 	status, _ = doJSON(t, http.MethodPost, ts.URL+"/v2/verify/batch", api.BatchVerifyRequest{
